@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -216,33 +216,53 @@ def frequent_probability(probabilities: Sequence[float], min_sup: int) -> float:
     if min_sup > len(probabilities):
         return 0.0
     _validate_probabilities(probabilities)
-    if min_sup <= _SCALAR_DP_CAP:
-        state = [0.0] * (min_sup + 1)
-        state[0] = 1.0
+    return float(_capped_dp_state(probabilities, min_sup)[min_sup])
+
+
+def _capped_dp_state(
+    probabilities: Sequence[float], cap: int
+) -> Union[List[float], FloatArray]:
+    """State vector of the capped DP after every row; ``cap >= 1``.
+
+    ``state[s]`` holds ``Pr[min(support so far, cap) = s]``.  After ``row``
+    rows every cell above ``row`` is exactly 0.0 (all masses are
+    non-negative, so ``0.0 * x + 0.0 * y`` is ``+0.0``).  The vectorized
+    path therefore updates only cells ``[1, row + 1]`` while fewer than
+    ``cap`` rows have been seen: the cells it skips would have been
+    rewritten to the 0.0 they already hold, and the cap refund it skips
+    adds ``0.0 * p``.  From row ``cap`` on it runs the full-width update.
+    """
+    if cap <= _SCALAR_DP_CAP:
+        scalar = [0.0] * (cap + 1)
+        scalar[0] = 1.0
         for probability in probabilities:
             absent = 1.0 - probability
             # In-place right-to-left shift; the cap cell absorbs, so the mass
             # it would lose to a "present" transition is added back.
-            cap_mass = state[min_sup]
-            for count in range(min_sup, 0, -1):
-                state[count] = state[count] * absent + state[count - 1] * probability
-            state[0] *= absent
+            cap_mass = scalar[cap]
+            for count in range(cap, 0, -1):
+                scalar[count] = scalar[count] * absent + scalar[count - 1] * probability
+            scalar[0] *= absent
             # The sequential recurrence IS the exactness contract here.
             # prolint: ignore[FSUM-REDUCE] DP transition on a cell, not a reduction
-            state[min_sup] += cap_mass * probability
-        return state[min_sup]
-    state = np.zeros(min_sup + 1)
+            scalar[cap] += cap_mass * probability
+        return scalar
+    state = np.zeros(cap + 1)
     state[0] = 1.0
-    for probability in probabilities:
+    for high, probability in enumerate(probabilities[:cap], start=1):
         absent = 1.0 - probability
-        cap_mass = state[min_sup]
+        state[1 : high + 1] = state[1 : high + 1] * absent + state[:high] * probability
+        state[0] *= absent
+    for probability in probabilities[cap:]:
+        absent = 1.0 - probability
+        cap_mass = state[cap]
         state[1:] = state[1:] * absent + state[:-1] * probability
         state[0] *= absent
-        # Absorbing cap: mass at min_sup stays there even when a transaction
+        # Absorbing cap: mass at cap stays there even when a transaction
         # is present, so add back the part the generic transition dropped.
         # prolint: ignore[FSUM-REDUCE] DP transition, not a reduction.
-        state[min_sup] += cap_mass * probability
-    return float(state[min_sup])
+        state[cap] += cap_mass * probability
+    return state
 
 
 def capped_support_pmf(probabilities: Sequence[float], cap: int) -> FloatArray:
@@ -250,8 +270,8 @@ def capped_support_pmf(probabilities: Sequence[float], cap: int) -> FloatArray:
 
     This is the *full state vector* of the :func:`frequent_probability` DP —
     exact mass at every count below ``cap`` plus the absorbed tail mass at
-    ``cap`` — computed with the identical scalar transition in the identical
-    order, so ``capped_support_pmf(p, m)[m] == frequent_probability(p, m)``
+    ``cap`` — computed by the same kernel, so
+    ``capped_support_pmf(p, m)[m] == frequent_probability(p, m)``
     bit-for-bit whenever ``m <= len(p)``.
 
     Shard workers return this vector per item: capped PMFs over *disjoint*
@@ -262,19 +282,9 @@ def capped_support_pmf(probabilities: Sequence[float], cap: int) -> FloatArray:
     if cap < 0:
         raise ValueError(f"cap must be >= 0, got {cap}")
     _validate_probabilities(probabilities)
-    state = [0.0] * (cap + 1)
-    state[0] = 1.0
     if cap == 0:
         return np.ones(1)
-    for probability in probabilities:
-        absent = 1.0 - probability
-        cap_mass = state[cap]
-        for count in range(cap, 0, -1):
-            state[count] = state[count] * absent + state[count - 1] * probability
-        state[0] *= absent
-        # prolint: ignore[FSUM-REDUCE] DP transition on a cell, not a reduction
-        state[cap] += cap_mass * probability
-    return np.asarray(state, dtype=np.float64)
+    return np.asarray(_capped_dp_state(probabilities, cap), dtype=np.float64)
 
 
 def pmf_tail_convolve(first: Sequence[float], second: Sequence[float]) -> FloatArray:
@@ -285,11 +295,14 @@ def pmf_tail_convolve(first: Sequence[float], second: Sequence[float]) -> FloatA
     result is the capped PMF of the union: below the cap the counts add like
     an ordinary convolution, and the cap cell collects every combination
     whose total reaches ``cap`` — including anything already absorbed on
-    either side.  Mathematically exact over disjoint row sets (independence);
-    each output cell is an :func:`math.fsum` reduction, so the result agrees
-    with the direct DP over the concatenated probabilities to within a few
-    ulps (the sharded-mining merge asserts this as a self-check rather than
-    relying on it bit-for-bit — the DP's sequential rounding differs).
+    either side.  Mathematically exact over disjoint row sets
+    (independence).  The cells below the cap come from one
+    :func:`numpy.convolve`; the cap cell is ``Σ_i first[i] · tail[cap − i]``
+    with ``tail[j] = Σ_{j' >= j} second[j']``, which is O(cap) instead of
+    the O(cap²) pairs it sums.  Neither is exactly rounded, so the result
+    agrees with the direct DP over the concatenated probabilities only to
+    accumulated rounding (the sharded-mining merge asserts agreement within
+    ``MERGE_VERIFY_TOLERANCE`` as a self-check, not bit-for-bit).
     """
     a = np.asarray(first, dtype=np.float64)
     b = np.asarray(second, dtype=np.float64)
@@ -298,19 +311,15 @@ def pmf_tail_convolve(first: Sequence[float], second: Sequence[float]) -> FloatA
             f"capped PMFs must share one shape (cap+1,), got {a.shape} and {b.shape}"
         )
     cap = len(a) - 1
-    out = np.zeros(cap + 1)
-    for total in range(cap):
-        out[total] = math.fsum(
-            a[i] * b[total - i] for i in range(total + 1)
-        )
+    out = np.empty(cap + 1)
+    if cap:
+        out[:cap] = np.convolve(a[:cap], b[:cap])[:cap]
     # Everything not strictly below the cap lands on the cap: pairs whose
     # exact counts sum past it, plus any mass either side already absorbed.
-    out[cap] = math.fsum(
-        a[i] * b[j]
-        for i in range(cap + 1)
-        for j in range(cap + 1)
-        if i + j >= cap
-    )
+    # For a[i] those are the b[j] with j >= cap - i, i.e. the suffix sum of
+    # b starting at cap - i.
+    tail = np.cumsum(b[::-1])
+    out[cap] = float(np.dot(a, tail))
     return out
 
 
@@ -327,7 +336,10 @@ def frequent_probability_padded_batch(
     operations the serial DP performs on the compacted row — while every
     column advances the whole batch at once.  This is what makes batching
     actually amortize: the column count is the longest *member* width, not
-    the base width, exactly as in the serial evaluation.
+    the base width, exactly as in the serial evaluation.  Each column
+    updates only its live band of count cells (see the loop), so a batch
+    whose longest row is close to ``min_sup`` costs far less than
+    ``columns × (min_sup + 1)`` cells.
 
     Bit-exactness contract: ``result[s] == frequent_probability(row s's
     nonzero prefix, min_sup)`` exactly (the backend-parity tests assert
@@ -353,30 +365,54 @@ def frequent_probability_padded_batch(
     padded = padded[order]
     extents = extents[order]
     complements = 1.0 - padded
+    longest = int(extents[0])
+    # Live band of column c: cells [low, high].  Cells above high = c + 1
+    # still hold an exact 0.0 (c + 1 rows cannot have more support), and
+    # cells below low = min_sup - (longest - c) cannot climb to min_sup in
+    # the columns left, so they never reach the result.  low grows by one
+    # per column once positive, so each computed cell reads only cells
+    # computed one column earlier, or cells above the band that were never
+    # written: every cell from low up holds the exact full-width value as
+    # long as all three buffers start zeroed (np.empty would leave garbage
+    # where the full-width walk wrote 0.0).
+    columns = np.arange(longest)
+    lows = np.maximum(min_sup - longest + columns, 0).tolist()
+    highs = np.minimum(columns + 1, min_sup).tolist()
     state = np.zeros((batch, min_sup + 1))
     state[:, 0] = 1.0
-    buffer = np.empty_like(state)
-    present = np.empty_like(state)
+    buffer = np.zeros_like(state)
+    present = np.zeros_like(state)
+    finished = np.zeros(batch)
     active = batch
-    for column in range(int(extents[0])):
+    for column in range(longest):
         while active and extents[active - 1] <= column:
-            # This row is done; freeze its state in both swap buffers.
+            # This row is done; its cap cell is final (an untouched 0.0 for a
+            # row shorter than min_sup, as the serial early return gives).
             active -= 1
-            buffer[active] = state[active]
-        live = state[:active]
-        out = buffer[:active]
-        column_probs = padded[:active, column : column + 1]
+            finished[active] = state[active, min_sup]
+        low, high = lows[column], highs[column]
+        shifted = max(low, 1)
         # Same per-cell transition as frequent_probability: old*absent +
         # shifted*present, with the absorbing cap refunded from the old cap.
-        # One full-width present-mass product serves both the shift (its
-        # first min_sup entries) and the cap refund (its last entry).
-        np.multiply(live, complements[:active, column : column + 1], out=out)
-        np.multiply(live, column_probs, out=present[:active])
-        out[:, 1:] += present[:active, :-1]
-        out[:, min_sup] += present[:active, min_sup]
+        # One present-mass product serves both the shift (its cells below
+        # high) and the cap refund (its cell at min_sup, once high gets there).
+        np.multiply(
+            state[:active, low : high + 1],
+            complements[:active, column : column + 1],
+            out=buffer[:active, low : high + 1],
+        )
+        np.multiply(
+            state[:active, shifted - 1 : high + 1],
+            padded[:active, column : column + 1],
+            out=present[:active, shifted - 1 : high + 1],
+        )
+        buffer[:active, shifted : high + 1] += present[:active, shifted - 1 : high]
+        if high == min_sup:
+            buffer[:active, min_sup] += present[:active, min_sup]
         state, buffer = buffer, state
+    finished[:active] = state[:active, min_sup]
     result = np.empty(batch)
-    result[order] = state[:, min_sup]
+    result[order] = finished
     return result
 
 

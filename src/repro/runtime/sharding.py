@@ -32,12 +32,13 @@ runs in three phases:
    (:func:`repro.core.support.frequent_probability`) over the same
    position-ordered vector the unsharded planner would build — so the
    candidate list, branch split, and ranks are byte-for-byte the unsharded
-   planner's.  The per-shard support DPs are additionally composed with
-   :func:`repro.core.support.pmf_tail_convolve` (Bernoulli-convolution
+   planner's.  On every merge the per-shard support DPs are also composed
+   with :func:`repro.core.support.pmf_tail_convolve` (Bernoulli-convolution
    ``pmf_add`` over disjoint transaction sets) and cross-checked against
    the direct DP, so a merge that disagrees with the monolithic computation
    fails loudly (:class:`ShardMergeError`) instead of shipping silently
-   wrong support numbers.
+   wrong support numbers.  The check has no off switch; its measured cost
+   is in ``docs/performance.md``.
 
 3. **mine** — the surviving shards' rows are concatenated back into one
    database (bit-identical to the original when nothing was lost) and the
@@ -665,7 +666,6 @@ def _merge_screen(
     scans: Dict[int, ShardScan],
     config: MinerConfig,
     stats: MiningStats,
-    verify_merge: bool,
 ) -> List[Item]:
     """Recompute the global candidate screen from the per-shard scans.
 
@@ -673,9 +673,9 @@ def _merge_screen(
     ``_passes_frequency_pruning`` over the concatenated database: counts
     sum exactly, ``fsum`` is order-independent, the CH bound is a pure
     function of the sum, and the ``Pr_F`` DP runs over the identical
-    position-ordered vector.  When ``verify_merge`` is set, the per-shard
-    capped support DPs are additionally composed with ``pmf_tail_convolve``
-    and checked against the direct DP for every candidate.
+    position-ordered vector.  The per-shard capped support DPs are also
+    composed with ``pmf_tail_convolve`` and checked against the direct DP
+    for every candidate.
     """
     total = sum(spec.transactions for spec in surviving)
     item_probs: Dict[Item, List[float]] = {}
@@ -702,22 +702,21 @@ def _merge_screen(
                 continue
         dp_evaluations += 1
         prf = frequent_probability(probabilities, config.min_sup)
-        if verify_merge:
-            merged_pmf = None
-            for shard_index, position in item_shard_pmfs[item]:
-                shard_pmf = scans[shard_index].pmf_of(position, cap)
-                merged_pmf = (
-                    shard_pmf
-                    if merged_pmf is None
-                    else pmf_tail_convolve(merged_pmf, shard_pmf)
-                )
-            assert merged_pmf is not None
-            if abs(float(merged_pmf[cap]) - prf) > MERGE_VERIFY_TOLERANCE:
-                raise ShardMergeError(
-                    f"item {item!r}: pmf_add merge of per-shard support DPs "
-                    f"gives Pr_F={float(merged_pmf[cap])!r} but the direct DP "
-                    f"gives {prf!r} (beyond {MERGE_VERIFY_TOLERANCE})"
-                )
+        merged_pmf = None
+        for shard_index, position in item_shard_pmfs[item]:
+            shard_pmf = scans[shard_index].pmf_of(position, cap)
+            merged_pmf = (
+                shard_pmf
+                if merged_pmf is None
+                else pmf_tail_convolve(merged_pmf, shard_pmf)
+            )
+        assert merged_pmf is not None
+        if abs(float(merged_pmf[cap]) - prf) > MERGE_VERIFY_TOLERANCE:
+            raise ShardMergeError(
+                f"item {item!r}: pmf_add merge of per-shard support DPs "
+                f"gives Pr_F={float(merged_pmf[cap])!r} but the direct DP "
+                f"gives {prf!r} (beyond {MERGE_VERIFY_TOLERANCE})"
+            )
         if prf <= config.pfct:
             stats.pruned_by_frequency += 1
             continue
@@ -863,7 +862,6 @@ def run_sharded(
     fault_plan: Optional[FaultPlan] = None,
     live_stats: Optional[MiningStats] = None,
     cancel_event: Optional[threading.Event] = None,
-    verify_merge: bool = True,
 ) -> ShardedReport:
     """Mine a sharded database under shard-level supervision.
 
@@ -880,9 +878,6 @@ def run_sharded(
             three phases; resume replays finished shard scans, recorded
             losses, and finished branches, then completes the rest
             bit-identically.
-        verify_merge: cross-check the pmf_add merge of per-shard support
-            DPs against the direct DP for every candidate item
-            (:class:`ShardMergeError` on disagreement).
 
     Returns:
         A :class:`ShardedReport`; ``report.results`` is bit-identical to
@@ -1022,7 +1017,7 @@ def run_sharded(
                 "every shard is lost or unavailable; nothing left to mine"
             )
         surviving_db = UncertainDatabase(rows)
-        candidates = _merge_screen(loaded, scans, config, stats, verify_merge)
+        candidates = _merge_screen(loaded, scans, config, stats)
         plan, _ = plan_root_branches(surviving_db, config, candidates=candidates)
         stats.shard_merge_seconds += time.perf_counter() - merge_started
     finally:

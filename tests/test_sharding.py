@@ -231,7 +231,7 @@ class TestMergeVerification:
         from repro.core.stats import MiningStats
 
         with pytest.raises(ShardMergeError, match="pmf_add merge"):
-            _merge_screen(shards.specs, scans, config, MiningStats(), True)
+            _merge_screen(shards.specs, scans, config, MiningStats())
 
     def test_tolerance_is_tight(self):
         assert MERGE_VERIFY_TOLERANCE <= 1e-9

@@ -1,7 +1,9 @@
 """Tests for the Poisson-binomial support machinery."""
 
+import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,15 +11,28 @@ from hypothesis import strategies as st
 from repro.core.database import paper_table2_database
 from repro.core.support import (
     SupportDistributionCache,
+    capped_support_pmf,
     expected_support,
     frequent_probability,
+    frequent_probability_padded_batch,
     frequent_probability_python,
+    pmf_tail_convolve,
     sample_conditional_presence,
     support_pmf,
     support_variance,
     tail_probability_table,
 )
 from tests.strategies import probability_lists
+
+SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+def mixed_probabilities(rng, count):
+    """Uniform draws with exact 0.0 and 1.0 rows mixed in."""
+    return [
+        rng.choice((0.0, 1.0)) if rng.random() < 0.15 else rng.random()
+        for _ in range(count)
+    ]
 
 
 def brute_force_tail(probabilities, min_sup):
@@ -124,6 +139,75 @@ class TestTailTable:
         assert table[1][0] == 1.0
         assert table[1][1] == 0.0
         assert table[1][2] == 0.0
+
+
+class TestLiveBandKernels:
+    """The band-limited kernels against their full-width references.
+
+    Thresholds run past the scalar cut-over (48) into the vectorized paths,
+    and row counts fall below, at and far above min_sup, so both band edges
+    move.  Every comparison except the convolution's is exact.
+    """
+
+    @given(SEEDS)
+    @settings(max_examples=40, deadline=None)
+    def test_capped_pmf_is_the_frequent_probability_state(self, seed):
+        rng = random.Random(seed)
+        cap = rng.randint(1, 200)
+        probabilities = mixed_probabilities(rng, rng.randint(0, 400))
+        capped = capped_support_pmf(probabilities, cap)
+        assert capped[cap] == frequent_probability(probabilities, cap)
+        full = support_pmf(probabilities)
+        below = min(cap, len(full))
+        assert np.array_equal(capped[:below], full[:below])
+        assert not capped[below:cap].any()
+
+    @given(SEEDS)
+    @settings(max_examples=60, deadline=None)
+    def test_padded_batch_matches_serial(self, seed):
+        rng = random.Random(seed)
+        min_sup = rng.randint(49, 200)
+        # Small batches of short rows leave most cells unwritten, which is
+        # where unzeroed buffers would show.
+        batch = rng.randint(1, 3) if rng.random() < 0.5 else rng.randint(4, 12)
+        rows = [
+            mixed_probabilities(
+                rng,
+                rng.choice(
+                    (rng.randint(0, min_sup - 1), min_sup, rng.randint(min_sup + 1, 400))
+                ),
+            )
+            for _ in range(batch)
+        ]
+        padded = np.zeros((batch, max(map(len, rows)) + rng.randint(0, 3)))
+        for index, row in enumerate(rows):
+            padded[index, : len(row)] = row
+        result = frequent_probability_padded_batch(padded, min_sup)
+        for index, row in enumerate(rows):
+            assert result[index] == frequent_probability(row, min_sup)
+
+    @pytest.mark.parametrize("extents", [(0,), (10,), (10, 60), (99, 1, 50)])
+    def test_rows_shorter_than_min_sup_are_exactly_zero(self, extents):
+        padded = np.zeros((len(extents), max(extents) + 1))
+        for index, extent in enumerate(extents):
+            padded[index, :extent] = 0.9
+        result = frequent_probability_padded_batch(padded, 100)
+        assert result.tolist() == [0.0] * len(extents)
+
+    @given(SEEDS)
+    @settings(max_examples=40, deadline=None)
+    def test_tail_convolve_of_a_split_matches_the_whole(self, seed):
+        rng = random.Random(seed)
+        cap = rng.randint(0, 200)
+        probabilities = mixed_probabilities(rng, rng.randint(0, 400))
+        split = rng.randint(0, len(probabilities))
+        merged = pmf_tail_convolve(
+            capped_support_pmf(probabilities[:split], cap),
+            capped_support_pmf(probabilities[split:], cap),
+        )
+        np.testing.assert_allclose(
+            merged, capped_support_pmf(probabilities, cap), rtol=0.0, atol=1e-12
+        )
 
 
 class TestConditionalSampler:
