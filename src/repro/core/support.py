@@ -479,21 +479,24 @@ def tail_probability_table(probabilities: Sequence[float], min_sup: int) -> Floa
     This is the backward analogue of the frequent-probability DP; it lets
     :func:`sample_conditional_presence` walk the transactions forward and draw
     each presence bit from its exact conditional distribution.
+
+    Each row is one vector update over the full width,
+    ``table[j, r] = p_j · table[j+1, r−1] + (1 − p_j) · table[j+1, r]`` for
+    ``r ≥ 1``: the same multiply, multiply, add on the same operands as a
+    per-cell loop, so every cell is bit-identical to it
+    (``tests/test_support.py::TestTailTable`` keeps that loop as the
+    reference).
     """
     if min_sup < 0:
         raise ValueError("min_sup must be non-negative")
     _validate_probabilities(probabilities)
     k = len(probabilities)
     table = np.zeros((k + 1, min_sup + 1))
-    table[k][0] = 1.0
+    table[:, 0] = 1.0
     for j in range(k - 1, -1, -1):
         probability = probabilities[j]
-        table[j][0] = 1.0
-        for remaining in range(1, min_sup + 1):
-            table[j][remaining] = (
-                probability * table[j + 1][remaining - 1]
-                + (1.0 - probability) * table[j + 1][remaining]
-            )
+        below = table[j + 1]
+        table[j, 1:] = probability * below[:-1] + (1.0 - probability) * below[1:]
     return table
 
 
@@ -552,6 +555,11 @@ def sample_conditional_presence(
     return bits
 
 
+# How often (in columns) the batch sampler checks whether every lane has met
+# its threshold; from then on each bit is a plain Bernoulli draw.
+_EARLY_FINISH_STRIDE = 32
+
+
 def sample_conditional_presence_batch(
     probabilities: Sequence[float],
     min_sup: int,
@@ -563,12 +571,23 @@ def sample_conditional_presence_batch(
     ``uniforms[s, j]`` is the ``j``-th uniform draw of sample ``s`` — the
     exact values (in the exact order) the serial sampler would consume from
     its RNG.  The returned boolean ``(samples, k)`` matrix is bit-for-bit
-    what running the serial sampler once per row would produce: the
-    conditional probability is evaluated with the identical operations
-    (``(p · tail[j+1][r−1]) / tail[j][r]``) and the identical comparison.
-    The ApproxFCP estimator pre-draws its uniforms serially and batches the
+    what running the serial sampler once per row would produce.  The
+    ApproxFCP estimator pre-draws its uniforms serially and batches the
     walks through here, which removes the per-sample Python loop from the
     sampling hot path for both tidset backends.
+
+    The kernel first builds the conditional table
+    ``conditional[j, r] = (p_j · tail[j+1, r−1]) / tail[j, r]`` for
+    ``r ≥ 1`` — the serial sampler's quotient, with the identical operations
+    — and sets ``conditional[j, 0] = p_j``.  It then walks one contiguous
+    copy of ``uniforms.T`` column by column: each lane compares its uniform
+    with ``conditional[j, remaining]`` and decrements ``remaining`` on a
+    present bit.  A lane that has met the threshold goes to
+    ``remaining ≤ 0`` and ``take(..., mode="clip")`` reads its column 0,
+    which is the serial sampler's plain Bernoulli draw.  Unreachable
+    ``0 / 0`` cells are NaN and compare False, exactly as in the serial
+    walk.  Every :data:`_EARLY_FINISH_STRIDE` columns, once every lane has
+    met the threshold, the remaining columns are one Bernoulli compare.
     """
     probs = np.asarray(probabilities, dtype=np.float64)
     uniforms = np.asarray(uniforms, dtype=np.float64)
@@ -577,28 +596,27 @@ def sample_conditional_presence_batch(
         raise ValueError("cannot condition on support >= min_sup with too few rows")
     if tail_table[0][min_sup] <= 0.0:
         raise ValueError("conditioning event has zero probability")
-    samples = uniforms.shape[0]
     if min_sup == 0:
         # No conditioning: every bit is a plain Bernoulli draw.
         return uniforms < probs[np.newaxis, :]
-    bits = np.zeros((samples, k), dtype=bool)
-    remaining = np.full(samples, min_sup, dtype=np.int64)
+    conditional = np.empty((k, min_sup + 1))
+    conditional[:, 0] = probs
     with np.errstate(divide="ignore", invalid="ignore"):
-        for j in range(k):
-            probability = probs[j]
-            active = remaining > 0
-            # Clamp inactive lanes to a valid row index; their quotient is
-            # discarded by the where() (they draw plain Bernoulli bits).
-            clamped = np.where(active, remaining, 1)
-            numerator = tail_table[j + 1][clamped - 1]
-            denominator = tail_table[j][clamped]
-            conditional = np.where(
-                active, (probability * numerator) / denominator, probability
-            )
-            present = uniforms[:, j] < conditional
-            bits[:, j] = present
-            remaining = remaining - (present & active)
-    return bits
+        np.divide(
+            probs[:, np.newaxis] * tail_table[1 : k + 1, :min_sup],
+            tail_table[:k, 1 : min_sup + 1],
+            out=conditional[:, 1:],
+        )
+    columns = np.ascontiguousarray(uniforms.T)
+    bits = np.empty((k, uniforms.shape[0]), dtype=bool)
+    remaining = np.full(uniforms.shape[0], min_sup, dtype=np.int64)
+    for j in range(k):
+        np.less(columns[j], conditional[j].take(remaining, mode="clip"), out=bits[j])
+        remaining -= bits[j]
+        if j % _EARLY_FINISH_STRIDE == _EARLY_FINISH_STRIDE - 1 and (remaining <= 0).all():
+            np.less(columns[j + 1 :], probs[j + 1 :, np.newaxis], out=bits[j + 1 :])
+            break
+    return bits.T
 
 
 # Historical name: the bounded, instrumented cache now lives in

@@ -135,13 +135,13 @@ def default_config(
 ) -> MinerConfig:
     """Paper-faithful configuration (sampling path only; see module note)."""
     overrides.setdefault("tidset_backend", DEFAULT_TIDSET_BACKEND)
+    overrides.setdefault("exact_event_limit", 0)
     return MinerConfig.with_relative_min_sup(
         len(database),
         min_sup_ratio,
         pfct=pfct,
         epsilon=epsilon,
         delta=delta,
-        exact_event_limit=0,
         **overrides,
     )
 

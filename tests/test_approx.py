@@ -88,6 +88,57 @@ class TestUnionEstimator:
         assert abs(estimate - exact) <= 0.1 * max(exact, 0.05) + 0.05
 
 
+class TestEpsilonDeltaGuarantee:
+    """ApproxFCP's (ε, δ) guarantee (Fig. 2), checked against exact IE.
+
+    With ``N = ⌈4m ln(2/δ)/ε²⌉`` samples, one run's relative error on the
+    ``Pr_FNC`` union exceeds ε with probability at most δ.  Over ``n``
+    independent seeds the count of such runs is then stochastically at
+    most Binomial(n, δ); the test allows its mean plus three standard
+    deviations.  The bitmap engine runs the batched conditional
+    sampler, the vectorized path the miner uses.
+    """
+
+    EPSILON = DELTA = 0.2
+    SEEDS_PER_INSTANCE = 250
+
+    @staticmethod
+    def _events(seed, min_sup):
+        # 14 rows that all contain "a"; the other four items sit in nearly
+        # every row, so their extension events overlap heavily (Z/Pr(∪)
+        # from 2.3 up to m = 4), the coverage estimator's hard case.
+        rng = random.Random(seed)
+        database = UncertainDatabase.from_rows(
+            [
+                (
+                    f"T{index}",
+                    "a" + "".join(item for item in "bcde" if rng.random() < 0.95),
+                    round(rng.uniform(0.3, 0.95), 3),
+                )
+                for index in range(14)
+            ]
+        )
+        return ExtensionEventSystem(
+            database, "a", min_sup, engine=database.tidset_engine("bitmap")
+        )
+
+    def test_relative_error_exceeds_epsilon_at_most_delta_often(self):
+        failures = runs = 0
+        for seed, min_sup in ((0, 10), (1, 8), (4, 10), (5, 10)):
+            events = self._events(seed, min_sup)
+            assert len(events.events) == 4
+            exact = events.union_probability_exact()
+            assert exact > 0.0
+            for run in range(self.SEEDS_PER_INSTANCE):
+                estimate, _samples = approx_union_probability(
+                    events, self.EPSILON, self.DELTA, random.Random(run)
+                )
+                failures += abs(estimate - exact) > self.EPSILON * exact
+                runs += 1
+        margin = 3.0 * math.sqrt(runs * self.DELTA * (1.0 - self.DELTA))
+        assert failures <= self.DELTA * runs + margin
+
+
 class TestApproxFCP:
     def test_paper_example(self, paper_db):
         result = approx_frequent_closed_probability(

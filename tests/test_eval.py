@@ -5,6 +5,7 @@ import pytest
 from repro.eval.datasets import ExperimentScale, mushroom_database, quest_database
 from repro.eval.experiments import (
     BudgetedRunner,
+    default_config,
     experiment_fig10,
     experiment_fig11,
     experiment_fig12,
@@ -108,6 +109,11 @@ class TestDrivers:
     def test_table8_reports_both_datasets(self):
         report = experiment_table8(ExperimentScale.CI)
         assert [row[0] for row in report.rows] == ["mushroom", "quest"]
+
+    def test_default_config_takes_an_exact_event_limit_override(self):
+        db = mushroom_database(ExperimentScale.CI)
+        assert default_config(db, 0.3).exact_event_limit == 0
+        assert default_config(db, 0.3, exact_event_limit=12).exact_event_limit == 12
 
     def test_miner_variants_toggle_the_right_flags(self):
         config = MinerConfig(min_sup=2)

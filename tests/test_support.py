@@ -35,6 +35,22 @@ def mixed_probabilities(rng, count):
     ]
 
 
+def per_cell_tail_table(probabilities, min_sup):
+    """Per-cell reference for :func:`tail_probability_table`, one cell at a time."""
+    k = len(probabilities)
+    table = np.zeros((k + 1, min_sup + 1))
+    table[k][0] = 1.0
+    for j in range(k - 1, -1, -1):
+        probability = probabilities[j]
+        table[j][0] = 1.0
+        for remaining in range(1, min_sup + 1):
+            table[j][remaining] = (
+                probability * table[j + 1][remaining - 1]
+                + (1.0 - probability) * table[j + 1][remaining]
+            )
+    return table
+
+
 def brute_force_tail(probabilities, min_sup):
     total = 0.0
     for mask in range(1 << len(probabilities)):
@@ -139,6 +155,18 @@ class TestTailTable:
         assert table[1][0] == 1.0
         assert table[1][1] == 0.0
         assert table[1][2] == 0.0
+
+    @given(SEEDS)
+    @settings(max_examples=60, deadline=None)
+    def test_row_update_matches_per_cell_loop(self, seed):
+        rng = random.Random(seed)
+        k = rng.randint(0, 300)
+        # min_sup 0, 1, up to and above 48, and above k.
+        min_sup = rng.choice((0, 1, rng.randint(2, 48), rng.randint(49, 240), k + 1, k + 7))
+        probabilities = mixed_probabilities(rng, k)
+        table = tail_probability_table(probabilities, min_sup)
+        assert table.shape == (k + 1, min_sup + 1)
+        assert np.array_equal(table, per_cell_tail_table(probabilities, min_sup))
 
 
 class TestLiveBandKernels:

@@ -197,18 +197,45 @@ class TestBatchedKernels:
     @settings(max_examples=40, deadline=None)
     def test_batch_sampler_replays_serial_uniform_stream(self, seed):
         rng = random.Random(seed)
-        width = rng.randint(1, 12)
-        probabilities = [round(rng.uniform(0.05, 1.0), 4) for _ in range(width)]
-        min_sup = rng.randint(1, width)
+        width = rng.choice((rng.randint(1, 12), rng.randint(13, 300)))
+        shape = rng.choice(("uniform", "tiny", "near-certain"))
+        if shape == "near-certain":
+            # Every lane meets a min_sup <= prefix inside the near-certain
+            # prefix, so the all-lanes-done early finish draws the low tail
+            # as plain Bernoulli bits.  At prefix + 1 every lane still
+            # needs one tail row, and its draws there are not Bernoulli.
+            width = rng.randint(96, 300)
+            prefix = rng.randint(1, width - 33)
+            level = rng.choice((0.02, 0.3))
+            probabilities = [rng.uniform(1.0 - 1e-9, 1.0) for _ in range(prefix)] + [
+                rng.uniform(0.0, level) for _ in range(width - prefix)
+            ]
+            min_sup = rng.choice((rng.randint(1, prefix), prefix, prefix + 1))
+        else:
+            if shape == "tiny":
+                # Rows down to 1e-300 leave unreachable 0/0 (NaN) cells in
+                # the conditional table; they must compare False.
+                probabilities = [
+                    rng.choice((1e-300, 1e-150, rng.uniform(0.05, 1.0)))
+                    for _ in range(width)
+                ]
+            else:
+                probabilities = [round(rng.uniform(0.05, 1.0), 4) for _ in range(width)]
+            # Any threshold, or one above 48 once the width allows it.
+            min_sup = rng.choice((rng.randint(1, width), rng.randint(min(49, width), width)))
         tail = tail_probability_table(probabilities, min_sup)
         if tail[0][min_sup] <= 0.0:
             return
+        lanes = rng.randint(64, 70)
         uniforms = np.array(
-            [[rng.random() for _ in range(width)] for _ in range(8)]
+            [[rng.random() for _ in range(width)] for _ in range(lanes)]
         )
         batch = sample_conditional_presence_batch(
             np.asarray(probabilities), min_sup, uniforms, tail
         )
+        assert batch.shape == (lanes, width)
+        if shape == "near-certain" and min_sup <= prefix:
+            assert (batch[:, :prefix].sum(axis=1) >= min_sup).all()
 
         class Replay:
             def __init__(self, values):
@@ -217,7 +244,7 @@ class TestBatchedKernels:
             def random(self):
                 return next(self._values)
 
-        for row in range(8):
+        for row in range(lanes):
             serial = sample_conditional_presence(
                 probabilities, min_sup, Replay(uniforms[row]), tail_table=tail
             )
@@ -252,6 +279,34 @@ class TestMiningParity:
         tuple_results, bitmap_results = mine_both(
             database, min_sup=1, pfct=0.2, exact_event_limit=0, seed=97
         )
+        assert_identical_results(tuple_results, bitmap_results)
+
+    def test_dfs_parity_on_wide_sampled_events(self):
+        # 120 rows and min_sup 60 give sampled events of about 60-80 rows,
+        # so the batch sampler walks past its 32- and 64-column checks.
+        rng = random.Random(2)
+        database = UncertainDatabase.from_rows(
+            [
+                (
+                    f"T{index}",
+                    "a" + "".join(item for item in "bcdef" if rng.random() < 0.8),
+                    round(rng.uniform(0.6, 1.0), 3),
+                )
+                for index in range(120)
+            ]
+        )
+        tuple_results, bitmap_results = mine_both(
+            database,
+            min_sup=60,
+            pfct=0.2,
+            exact_event_limit=0,
+            use_probability_bounds=False,
+            epsilon=0.3,
+            delta=0.3,
+            seed=11,
+        )
+        assert bitmap_results
+        assert all(result.method == "sampled" for result in bitmap_results)
         assert_identical_results(tuple_results, bitmap_results)
 
     @pytest.mark.parametrize("rows", [17, 65, 90])
