@@ -14,15 +14,10 @@ mine the sweep at least :data:`MIN_SPEEDUP` times faster than the tuple
 backend while producing the field-for-field identical result list (the
 backends are bit-exact by construction — see ``docs/performance.md``).
 
-Two measurements live here:
-
-* :func:`test_bitmap_backend_speedup` — the acceptance pair, ``bitmap`` vs
-  the ``tuple`` oracle.
-* :func:`test_kernel_ablation` — the kernel ablation, which adds the
-  ``bitmap-noprefix`` backend (the same packed engine with the per-prefix
-  gather cache and active-word kernels disabled).  The gap between the two
-  bitmap rows is exactly what the fused kernels buy; the deterministic
-  ``tidset_words_anded`` counter must be strictly lower with the cache on.
+:func:`test_bitmap_backend_speedup` measures the acceptance pair,
+``bitmap`` vs the ``tuple`` oracle, and also asserts that batched DP
+invocations dominate on the packed engine (the frontier batching is
+engaged).
 
 Timing protocol: the backends are interleaved round by round and each side
 keeps its best round, so a machine-load swing during the measurement hits
@@ -50,15 +45,12 @@ SWEEP_RATIOS = (0.3, 0.25)
 VARIANT = "MPFCI-NoBound"
 
 #: Acceptance floor for the aggregate bitmap-over-tuple speedup.  Raised from
-#: 3x to 7x when the frontier-fused DP kernels (per-prefix gather cache,
-#: active-word intersections, batched inclusion–exclusion) landed.
+#: 3x to 7x when the frontier-fused DP kernels (batched inclusion–exclusion
+#: and the batched sampler) landed.
 MIN_SPEEDUP = 7.0
 
-#: The default acceptance pair: the packed engine against the oracle.
+#: The acceptance pair: the packed engine against the oracle.
 DEFAULT_BACKENDS = ("bitmap", "tuple")
-
-#: The kernel-ablation lineup: full kernels, kernels disabled, oracle.
-ABLATION_BACKENDS = ("bitmap", "bitmap-noprefix", "tuple")
 
 #: Every field of a mining result that the parity check compares.  The two
 #: backends must agree on all of them exactly — not approximately.
@@ -79,8 +71,6 @@ COUNTER_FIELDS = (
     "tidset_words_anded",
     "tidset_popcounts",
     "tidset_gathers",
-    "tidset_prefix_hits",
-    "tidset_prefix_misses",
     "dp_invocations",
     "dp_batch_invocations",
 )
@@ -171,7 +161,8 @@ def measure_backend_speedup(
 
 
 def test_bitmap_backend_speedup(benchmark, mushroom_db):
-    """Acceptance: bitmap >= 7x over tuple on the sweep, identical results."""
+    """Acceptance: bitmap >= 7x over tuple on the sweep, identical results,
+    and batched DP invocations dominating on the packed engine."""
     payloads = []
 
     def run():
@@ -188,46 +179,6 @@ def test_bitmap_backend_speedup(benchmark, mushroom_db):
             "backends diverged at ratio "
             f"{point['ratio']}: {point}"
         )
+        counter = point["engine_counters"]["bitmap"]
+        assert counter["dp_batch_invocations"] * 2 > counter["dp_invocations"], point
     assert payload["speedup"] >= MIN_SPEEDUP, payload
-
-
-def test_kernel_ablation(benchmark, mushroom_db):
-    """Ablation: the prefix-cache/active-word kernels must earn their keep.
-
-    Runs the full three-way lineup (``bitmap``, ``bitmap-noprefix``,
-    ``tuple``) and asserts, per sweep point, that
-
-    * all three backends produce the identical result list,
-    * the cached engine never ANDs *more* words than the ablated one and its
-      prefix cache registers hits while the ablated engine registers none
-      (deterministic counters rather than wall-clock; at CI scale the
-      mushroom bitmap is only two words wide, so the active-word restriction
-      cannot trim columns here — the strict words-ANDed reduction on wider
-      bitmaps is pinned by ``tests/test_tidset_backends.py``), and
-    * batched DP invocations dominate on both bitmap variants (the frontier
-      batching is engaged).
-    """
-    payloads = []
-
-    def run():
-        payloads.append(
-            measure_backend_speedup(mushroom_db, backends=ABLATION_BACKENDS)
-        )
-        return payloads[-1]
-
-    payload = benchmark.pedantic(run, rounds=1, iterations=1, warmup_rounds=0)
-    benchmark.extra_info["kernel_ablation"] = payload
-    record_bench_json("tidset_kernel_ablation", payload)
-    assert payload["results_identical"], payload
-    assert payload["speedup"] >= MIN_SPEEDUP, payload
-    for point in payload["points"]:
-        cached = point["engine_counters"]["bitmap"]
-        ablated = point["engine_counters"]["bitmap-noprefix"]
-        assert cached["tidset_words_anded"] <= ablated["tidset_words_anded"], point
-        assert cached["tidset_prefix_hits"] > 0, point
-        assert ablated["tidset_prefix_hits"] == 0, point
-        for backend in ("bitmap", "bitmap-noprefix"):
-            counter = point["engine_counters"][backend]
-            assert (
-                counter["dp_batch_invocations"] * 2 > counter["dp_invocations"]
-            ), (backend, point)

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """CI smoke guard for the packed-bitmap tidset backend speedup.
 
-Re-measures the kernel-ablation comparison of
+Re-measures the bitmap-vs-tuple comparison of
 ``benchmarks/bench_tidset_backend.py`` on one sweep point and compares the
 fresh measurement against the committed repo-root
 ``BENCH_tidset_backend.json`` baseline.  The check fails when
@@ -36,7 +36,6 @@ for entry in (REPO_ROOT, REPO_ROOT / "src"):
         sys.path.insert(0, str(entry))
 
 from benchmarks.bench_tidset_backend import (  # noqa: E402
-    ABLATION_BACKENDS,
     MIN_SPEEDUP,
     SWEEP_RATIOS,
     measure_backend_speedup,
@@ -70,7 +69,7 @@ FLOOR_COUNTERS = ("dp_batch_invocations",)
 
 #: Backends whose counters the gate compares (the oracle's counters are its
 #: own business — it exists for parity, not speed).
-GATED_BACKENDS = ("bitmap", "bitmap-noprefix")
+GATED_BACKENDS = ("bitmap",)
 
 
 def baseline_point(baseline: dict, ratio: float) -> dict:
@@ -119,10 +118,7 @@ def main(argv=None) -> int:
 
     if args.update:
         payload = measure_backend_speedup(
-            database,
-            ratios=SWEEP_RATIOS,
-            rounds=args.rounds,
-            backends=ABLATION_BACKENDS,
+            database, ratios=SWEEP_RATIOS, rounds=args.rounds
         )
         if not payload["results_identical"]:
             print("REFUSING to write baseline: backends disagree", payload)
@@ -140,12 +136,7 @@ def main(argv=None) -> int:
         return 0
 
     baseline = json.loads(BASELINE_PATH.read_text())
-    smoke = measure_backend_speedup(
-        database,
-        ratios=SMOKE_RATIOS,
-        rounds=args.rounds,
-        backends=ABLATION_BACKENDS,
-    )
+    smoke = measure_backend_speedup(database, ratios=SMOKE_RATIOS, rounds=args.rounds)
     point = smoke["points"][0]
     expected = baseline_point(baseline, point["ratio"])
     floor = (1.0 - TOLERANCE) * expected["speedup"]

@@ -430,13 +430,14 @@ def _command_mine(args: argparse.Namespace) -> int:
     if args.processes is not None and args.processes < 1:
         print("--processes must be >= 1", file=sys.stderr)
         return 2
-    if sharded:
+    if supervised:
         from .runtime import (
             CheckpointError,
             ShardLossError,
             ShardSet,
             SupervisorConfig,
             run_sharded,
+            run_supervised,
         )
 
         try:
@@ -446,66 +447,43 @@ def _command_mine(args: argparse.Namespace) -> int:
             )
         except ValueError as error:
             return _error(str(error))
-        if shards is None:
+        if sharded and shards is None:
             shards = ShardSet.from_database(database, args.shards or 1)
+        checkpoint_path = args.resume or args.checkpoint
         try:
-            report = run_sharded(
-                shards,
-                config,
-                processes=args.processes,
-                supervisor=supervisor,
-                shard_policy=args.shard_policy or "fail-strict",
-                checkpoint_path=args.resume or args.checkpoint,
-                resume_from_checkpoint=args.resume is not None,
-            )
+            if sharded:
+                report = run_sharded(
+                    shards,
+                    config,
+                    processes=args.processes,
+                    supervisor=supervisor,
+                    shard_policy=args.shard_policy or "fail-strict",
+                    checkpoint_path=checkpoint_path,
+                    resume_from_checkpoint=args.resume is not None,
+                )
+            else:
+                report = run_supervised(
+                    database,
+                    config,
+                    processes=args.processes,
+                    supervisor=supervisor,
+                    checkpoint_path=checkpoint_path,
+                    resume_from_checkpoint=args.resume is not None,
+                )
         except (OSError, CheckpointError, ShardLossError) as error:
             return _error(str(error))
         results = report.results
         stats = report.stats
-        for index, reason in sorted(report.lost_shards.items()):
-            print(f"warning: shard {index} lost: {reason}", file=sys.stderr)
-        if report.degraded:
-            print(
-                f"warning: {len(report.lost_shards)} shard(s) lost; results "
-                "cover the surviving shards only and carry certified "
-                "support/frequency bounds (provenance shard-degraded)",
-                file=sys.stderr,
-            )
-        for outcome in report.failed:
-            print(
-                f"warning: branch {outcome.rank} ({outcome.item!r}) failed "
-                f"after {outcome.attempts} attempt(s): {outcome.error}",
-                file=sys.stderr,
-            )
-        if report.failed:
-            print(
-                f"warning: {len(report.failed)} branch(es) failed; "
-                "results are partial",
-                file=sys.stderr,
-            )
-    elif supervised:
-        from .runtime import CheckpointError, SupervisorConfig, run_supervised
-
-        try:
-            supervisor = SupervisorConfig(
-                branch_timeout_seconds=args.branch_timeout,
-                max_retries=args.max_retries if args.max_retries is not None else 2,
-            )
-        except ValueError as error:
-            return _error(str(error))
-        try:
-            report = run_supervised(
-                database,
-                config,
-                processes=args.processes,
-                supervisor=supervisor,
-                checkpoint_path=args.resume or args.checkpoint,
-                resume_from_checkpoint=args.resume is not None,
-            )
-        except (OSError, CheckpointError) as error:
-            return _error(str(error))
-        results = report.results
-        stats = report.stats
+        if sharded:
+            for index, reason in sorted(report.lost_shards.items()):
+                print(f"warning: shard {index} lost: {reason}", file=sys.stderr)
+            if report.degraded:
+                print(
+                    f"warning: {len(report.lost_shards)} shard(s) lost; results "
+                    "cover the surviving shards only and carry certified "
+                    "support/frequency bounds (provenance shard-degraded)",
+                    file=sys.stderr,
+                )
         for outcome in report.failed:
             print(
                 f"warning: branch {outcome.rank} ({outcome.item!r}) failed "

@@ -314,8 +314,8 @@ class ExtensionEventSystem:
 
         On vectorized engines every expansion node is *frontier-batched*:
         the node's surviving sibling conjunctions come from one
-        ``intersect_many`` (which rides the engine's per-prefix active-word
-        cache), their ``Pr_F`` values from one padded batched support DP,
+        ``intersect_many`` (one matrix AND), their ``Pr_F`` values from one
+        padded batched support DP,
         and their absent factors from one stacked gather.  The terms are
         then accumulated in the exact order the serial recursion would have
         produced them — same IEEE-754 additions in the same sequence — so

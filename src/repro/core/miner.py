@@ -185,7 +185,6 @@ class MPFCIMiner:
             self._cache.clear()
         else:
             self._cache = self._new_cache()
-        self._engine.reset_transients()
         engine_before = self._engine.counters()
         results: List[ProbabilisticFrequentClosedItemset] = []
 
@@ -229,7 +228,6 @@ class MPFCIMiner:
         sorted the same way :meth:`mine` sorts.
         """
         started = time.perf_counter()
-        self._engine.reset_transients()
         engine_before = self._engine.counters()
         results: List[ProbabilisticFrequentClosedItemset] = []
         self._dfs(

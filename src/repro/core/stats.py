@@ -80,8 +80,6 @@ class MiningStats:
     tidset_words_anded: int = 0
     tidset_popcounts: int = 0
     tidset_gathers: int = 0
-    tidset_prefix_hits: int = 0
-    tidset_prefix_misses: int = 0
     # --- support-DP cache ----------------------------------------------
     dp_invocations: int = 0
     dp_batch_invocations: int = 0
@@ -306,8 +304,7 @@ class MiningStats:
             f"engine(intersect={self.tidset_intersections}, "
             f"words={self.tidset_words_anded}, "
             f"popcount={self.tidset_popcounts}, "
-            f"gather={self.tidset_gathers}, "
-            f"prefix_hits={self.tidset_prefix_hits}) "
+            f"gather={self.tidset_gathers}) "
             f"time={self.elapsed_seconds:.3f}s"
         )
 

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections import OrderedDict
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -67,7 +66,7 @@ __all__ = [
     "pack_positions",
 ]
 
-TIDSET_BACKENDS = ("tuple", "bitmap", "bitmap-noprefix")
+TIDSET_BACKENDS = ("tuple", "bitmap")
 
 # numpy >= 2.0 exposes a vectorized popcount ufunc; older versions fall back
 # to a 256-entry byte lookup table (the classic LUT popcount).
@@ -220,8 +219,6 @@ class _EngineCounters:
         self.words_anded = 0
         self.popcounts = 0
         self.gathers = 0
-        self.prefix_hits = 0
-        self.prefix_misses = 0
 
     def counters(self) -> Dict[str, int]:
         """Snapshot in ``MiningStats`` field naming (monotonic totals)."""
@@ -230,17 +227,7 @@ class _EngineCounters:
             "tidset_words_anded": self.words_anded,
             "tidset_popcounts": self.popcounts,
             "tidset_gathers": self.gathers,
-            "tidset_prefix_hits": self.prefix_hits,
-            "tidset_prefix_misses": self.prefix_misses,
         }
-
-    def reset_transients(self) -> None:
-        """Drop per-run caches so repeated runs do identical work.
-
-        Engines are cached per database and shared across runs; the miner
-        calls this at run start so run-to-run counter deltas stay
-        repeatable.  The base implementation has nothing to drop.
-        """
 
 
 class TupleTidsetEngine(_EngineCounters):
@@ -329,29 +316,6 @@ class TupleTidsetEngine(_EngineCounters):
         return False
 
 
-class _PrefixEntry:
-    """Cached hot state of one DFS prefix tidset.
-
-    ``active`` holds the indices of the prefix's nonzero bitmap words — the
-    only columns a child intersection can possibly keep, so every extension
-    of the prefix ANDs and popcounts just those words (the popcount-delta
-    form of incremental support counting).  ``probabilities`` lazily holds
-    the prefix's gathered probability array, reused across its extensions.
-    """
-
-    __slots__ = ("active", "probabilities")
-
-    def __init__(self, active: IntArray) -> None:
-        self.active = active
-        self.probabilities: Optional[FloatArray] = None
-
-
-# Upper bound on live prefix entries.  The DFS holds one prefix per tree
-# level, so depth bounds the working set; LRU eviction is the backtrack
-# invalidation (an abandoned prefix stops being touched and ages out).
-_PREFIX_CACHE_SIZE = 128
-
-
 class BitmapTidsetEngine(_EngineCounters):
     """Packed-bitmap tidset algebra with vectorized probability gathering.
 
@@ -361,14 +325,6 @@ class BitmapTidsetEngine(_EngineCounters):
     probabilities live in one contiguous ``float64`` layout indexed by bit
     position, so a tidset's probability vector is a single fancy-index
     gather.
-
-    Batch extensions of one *prefix* tidset additionally run through a
-    small per-prefix cache (:class:`_PrefixEntry`): the prefix's active
-    word indices and gathered probability array are computed once and
-    reused for every sibling extension, so deep, sparse prefixes AND only
-    the words that can still be nonzero.  The cache is keyed by bitmap
-    digest and LRU-bounded, and it changes no results — restricted-word
-    intersections reconstruct bit-identical full-width words.
 
     ``item_words`` / ``probability_layout`` / ``offset`` let a sliding
     window hand over incrementally maintained bitmaps (see
@@ -388,7 +344,6 @@ class BitmapTidsetEngine(_EngineCounters):
         probability_layout: Optional[FloatArray] = None,
         offset: int = 0,
         item_matrix: Optional[WordArray] = None,
-        prefix_cache: bool = True,
     ) -> None:
         super().__init__()
         if item_words is None and item_matrix is None and offset:
@@ -403,8 +358,6 @@ class BitmapTidsetEngine(_EngineCounters):
         self._offset = offset
         n_bits = offset + size
         self._n_words = (n_bits + 63) // 64
-        self._prefix_cache_enabled = prefix_cache
-        self._prefix_cache: "OrderedDict[bytes, _PrefixEntry]" = OrderedDict()
 
         if item_matrix is not None:
             # Zero-copy adoption: the packed matrix (typically a read-only
@@ -528,66 +481,17 @@ class BitmapTidsetEngine(_EngineCounters):
         self.popcounts += 1
         return BitmapTidset(words, self._offset, count=_popcount_words(words))
 
-    def reset_transients(self) -> None:
-        """Drop the per-prefix cache (fresh run ⇒ fresh prefix state)."""
-        self._prefix_cache.clear()
-
-    def prefix_entry(self, base: BitmapTidset) -> Optional[_PrefixEntry]:
-        """The per-prefix cache entry of ``base`` (None when disabled).
-
-        Misses compute and store the prefix's active word indices; hits are
-        the amortization the batch extension paths rely on — every sibling
-        extension of one DFS prefix reuses the same entry.
-        """
-        if not self._prefix_cache_enabled:
-            return None
-        digest = base.digest
-        entry = self._prefix_cache.get(digest)
-        if entry is not None:
-            self.prefix_hits += 1
-            self._prefix_cache.move_to_end(digest)
-            return entry
-        self.prefix_misses += 1
-        entry = _PrefixEntry(np.flatnonzero(base.words))
-        self._prefix_cache[digest] = entry
-        if len(self._prefix_cache) > _PREFIX_CACHE_SIZE:
-            self._prefix_cache.popitem(last=False)
-        return entry
-
-    def _expand_active(
-        self, restricted: WordArray, active: IntArray, rows: int
-    ) -> WordArray:
-        """Scatter active-column results back into full-width word rows."""
-        full = np.zeros((rows, self._n_words), dtype=np.uint64)
-        full[:, active] = restricted
-        return full
-
     def intersect_many(
         self, base: BitmapTidset, others: Sequence[BitmapTidset]
     ) -> List[BitmapTidset]:
-        """``base ∧ other`` for every other, as one matrix AND.
-
-        When the prefix cache knows ``base``'s active words and some words
-        are zero, only the active columns are ANDed and popcounted — the
-        zero columns of the prefix force zero columns in every child, so
-        the full-width result rows are reconstructed bit-identically.
-        """
+        """``base ∧ other`` for every other, as one matrix AND."""
         if not others:
             return []
-        entry = self.prefix_entry(base)
-        active = entry.active if entry is not None else None
-        if active is not None and len(active) < self._n_words:
-            stacked = np.stack([tidset.words[active] for tidset in others])
-            restricted = stacked & base.words[active]
-            counts = _popcount_rows(restricted)
-            intersected = self._expand_active(restricted, active, len(others))
-            self.words_anded += len(others) * len(active)
-        else:
-            stacked = np.stack([tidset.words for tidset in others])
-            intersected = stacked & base.words
-            counts = _popcount_rows(intersected)
-            self.words_anded += len(others) * self._n_words
+        stacked = np.stack([tidset.words for tidset in others])
+        intersected = stacked & base.words
+        counts = _popcount_rows(intersected)
         self.intersections += len(others)
+        self.words_anded += len(others) * self._n_words
         self.popcounts += len(others)
         return [
             BitmapTidset(intersected[row], self._offset, count=int(counts[row]))
@@ -597,22 +501,11 @@ class BitmapTidsetEngine(_EngineCounters):
     def extend_all_items(
         self, base: BitmapTidset
     ) -> List[Tuple[Item, BitmapTidset]]:
-        """``(item, base ∧ tidset(item))`` for every item, canonical order.
-
-        Active-word restricted exactly like :meth:`intersect_many`.
-        """
-        entry = self.prefix_entry(base)
-        active = entry.active if entry is not None else None
-        if active is not None and len(active) < self._n_words:
-            restricted = self._matrix[:, active] & base.words[active]
-            counts = _popcount_rows(restricted)
-            intersected = self._expand_active(restricted, active, len(self._items))
-            self.words_anded += len(self._items) * len(active)
-        else:
-            intersected = self._matrix & base.words
-            counts = _popcount_rows(intersected)
-            self.words_anded += len(self._items) * self._n_words
+        """``(item, base ∧ tidset(item))`` for every item, canonical order."""
+        intersected = self._matrix & base.words
+        counts = _popcount_rows(intersected)
         self.intersections += len(self._items)
+        self.words_anded += len(self._items) * self._n_words
         self.popcounts += len(self._items)
         return [
             (item, BitmapTidset(intersected[row], self._offset, count=int(counts[row])))
@@ -646,27 +539,7 @@ class BitmapTidsetEngine(_EngineCounters):
         return tidset.positions()
 
     def probabilities_array(self, tidset: BitmapTidset) -> FloatArray:
-        """The tidset's probability vector, one boolean-mask gather.
-
-        Known prefixes (tidsets with a live :class:`_PrefixEntry`) keep the
-        gathered array on their entry, so repeated probability access for
-        the same prefix — one access per extension batch — gathers once.
-        Lookups never *insert* entries: only the extension paths decide
-        what counts as a prefix, which keeps transient child tidsets from
-        churning the cache.
-        """
-        if self._prefix_cache_enabled:
-            entry = self._prefix_cache.get(tidset.digest)
-            if entry is not None:
-                self._prefix_cache.move_to_end(tidset.digest)
-                if entry.probabilities is None:
-                    self.gathers += 1
-                    gathered = self._prob[tidset.bit_index_array()]
-                    gathered.setflags(write=False)
-                    entry.probabilities = gathered
-                else:
-                    self.prefix_hits += 1
-                return entry.probabilities
+        """The tidset's probability vector, one fancy-index gather."""
         self.gathers += 1
         return self._prob[tidset.bit_index_array()]
 
@@ -802,33 +675,5 @@ def _make_bitmap_engine(
     return BitmapTidsetEngine(database)
 
 
-def _make_bitmap_noprefix_engine(
-    database: "UncertainDatabase",
-    bitmap_parts: Optional[Dict[str, Any]] = None,
-) -> TidsetEngine:
-    """``"bitmap-noprefix"`` backend: the packed engine with the per-prefix
-    gather cache disabled.  The kernel-ablation benchmark uses it to isolate
-    what the cache buys; being registered, it is also differential-tested by
-    the conformance suite like any other backend."""
-    if bitmap_parts:
-        if "matrix" in bitmap_parts:
-            return BitmapTidsetEngine(
-                database,
-                probability_layout=bitmap_parts["probabilities"],
-                offset=bitmap_parts.get("offset", 0),
-                item_matrix=bitmap_parts["matrix"],
-                prefix_cache=False,
-            )
-        return BitmapTidsetEngine(
-            database,
-            item_words=bitmap_parts["words"],
-            probability_layout=bitmap_parts["probabilities"],
-            offset=bitmap_parts["offset"],
-            prefix_cache=False,
-        )
-    return BitmapTidsetEngine(database, prefix_cache=False)
-
-
 _BACKEND_REGISTRY.register("tuple", _make_tuple_engine)
 _BACKEND_REGISTRY.register("bitmap", _make_bitmap_engine)
-_BACKEND_REGISTRY.register("bitmap-noprefix", _make_bitmap_noprefix_engine)

@@ -7,8 +7,7 @@ and each is now resolved by *registered name* instead of a hardcoded
 ==========================  ============================================
 Registry                    Built-ins (bootstrap module)
 ==========================  ============================================
-:data:`TIDSET_BACKENDS`     ``"tuple"``, ``"bitmap"``,
-                            ``"bitmap-noprefix"``
+:data:`TIDSET_BACKENDS`     ``"tuple"``, ``"bitmap"``
                             (:mod:`repro.core.tidsets`)
 :data:`UNCERTAINTY_MODELS`  ``"tuple"``, ``"attribute"``
                             (:mod:`repro.uncertain.models`)

@@ -71,7 +71,7 @@ import json
 import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..core.config import MinerConfig
 from ..core.database import UncertainDatabase
@@ -93,6 +93,7 @@ __all__ = [
     "fingerprint",
     "has_checkpoint_header",
     "load_checkpoint",
+    "open_checkpoint",
     "validate_fingerprint",
 ]
 
@@ -553,3 +554,38 @@ class CheckpointWriter:
 
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
+
+
+def open_checkpoint(
+    path: PathLike, fingerprint: Dict[str, Any], resume: bool
+) -> Tuple[CheckpointWriter, Optional[Checkpoint]]:
+    """Open the checkpoint of a run whose identity is ``fingerprint``.
+
+    A fresh run (``resume=False``) refuses a path that already holds a
+    checkpoint, so a ``--checkpoint`` / ``--resume`` mix-up cannot truncate
+    a previous run's progress, and starts a new file.  A resumed run loads
+    the file, refuses it if it was cancelled
+    (:class:`CheckpointCancelledError`), validates its fingerprint
+    (:class:`CheckpointMismatchError`), and reopens it for appending with
+    any crash-damaged tail cut off at ``valid_bytes``.
+
+    Returns the writer and, on resume, the loaded checkpoint.
+    """
+    if not resume:
+        if has_checkpoint_header(path):
+            raise CheckpointError(
+                f"{path}: already holds a checkpoint; resume "
+                "from it (CLI: --resume) or delete the file to start over"
+            )
+        return CheckpointWriter(path, fingerprint, fresh=True), None
+    checkpoint = load_checkpoint(path)
+    if checkpoint.cancelled:
+        raise CheckpointCancelledError(
+            f"{path}: this run was cancelled; a cancelled checkpoint cannot be "
+            "resumed — delete the file and start a fresh run"
+        )
+    validate_fingerprint(checkpoint.fingerprint, fingerprint, path)
+    writer = CheckpointWriter(
+        path, fingerprint, fresh=False, truncate_to=checkpoint.valid_bytes
+    )
+    return writer, checkpoint

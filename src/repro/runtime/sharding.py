@@ -10,13 +10,14 @@ runs in three phases:
    contains, the probabilities of the shard's transactions holding it (in
    row order) plus the shard's capped support PMF per item
    (:func:`repro.core.support.capped_support_pmf`).  Shards are first-class
-   failure domains: per-shard timeouts, bounded retries with backoff, pool
-   rebuilds after a hang or hard crash, and an inline last resort — the
-   same recovery ladder :mod:`repro.runtime.supervisor` applies to mining
-   branches, sharing its :class:`~repro.runtime.supervisor.SupervisorConfig`
-   knobs (``branch_timeout_seconds`` doubles as the per-shard scan
-   timeout).  A shard that exhausts every recovery path goes to the
-   registry-resolved **shard-loss policy**
+   failure domains: the scans run on the recovery ladder that also runs
+   mining branches (:class:`~repro.runtime.supervisor.RecoveryLadder`) —
+   per-shard timeouts, bounded retries with backoff, pool rebuilds after a
+   hang or hard crash, and an inline last resort — under the same
+   :class:`~repro.runtime.supervisor.SupervisorConfig` knobs
+   (``branch_timeout_seconds`` doubles as the per-shard scan timeout) but
+   with their own ``shard_*`` counters.  A shard that exhausts every
+   recovery path goes to the registry-resolved **shard-loss policy**
    (:data:`repro.registry.SHARD_LOSS_POLICIES`):
 
    * ``"fail-strict"`` (default) — abort the run with
@@ -72,7 +73,7 @@ import logging
 import math
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, Future, wait
+from concurrent.futures import Future
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -90,20 +91,15 @@ from ..core.support import capped_support_pmf, frequent_probability, pmf_tail_co
 from ..registry import SHARD_LOSS_POLICIES
 from .checkpoint import (
     FORMAT_VERSION,
-    CheckpointCancelledError,
-    CheckpointError,
     CheckpointWriter,
     database_sha256,
-    has_checkpoint_header,
-    load_checkpoint,
-    validate_fingerprint,
+    open_checkpoint,
 )
 from .faults import FaultPlan
 from .supervisor import (
+    RecoveryLadder,
     SupervisorConfig,
     SupervisorReport,
-    _new_pool,
-    _terminate_pool,
     run_supervised,
 )
 
@@ -400,14 +396,14 @@ def _scan_shard_worker(
     return {"transactions": len(shard_db), "items": items, "pmfs": pmfs}
 
 
-class _ScanSupervision:
-    """The scan phase's recovery loop: per-shard failure domains.
+class _ScanSupervision(RecoveryLadder[ShardSpec, Dict[str, Any]]):
+    """Shard scans on the supervisor's recovery ladder: per-shard failure
+    domains, with the shard-loss policy as the final rung instead of a
+    failed-branch report."""
 
-    Mirrors the branch supervisor's ladder — deadline sweep, pool
-    kill/rebuild, bounded retries with backoff, inline last resort — with
-    the shard-loss policy as the final rung instead of a failed-branch
-    report.
-    """
+    retries_counter = "shard_retries"
+    timeouts_counter = "shard_timeouts"
+    inline_counter = "shards_recovered_inline"
 
     def __init__(
         self,
@@ -424,75 +420,90 @@ class _ScanSupervision:
         lost: Dict[int, str],
         cancel_event: Optional[threading.Event],
     ) -> None:
-        self.pending: Dict[int, ShardSpec] = {spec.index: spec for spec in shards}
+        super().__init__(
+            {spec.index: spec for spec in shards},
+            processes,
+            supervisor,
+            fault_plan,
+            writer,
+            stats,
+            cancel_event,
+        )
         self.cap = cap
-        self.processes = processes
-        self.supervisor = supervisor
-        self.fault_plan = fault_plan
         self.policy_name = policy_name
         self.policy = policy
         self.total_shards = total_shards
-        self.writer = writer
-        self.stats = stats
-        self.cancel_event = cancel_event
-        self.attempts: Dict[int, int] = {spec.index: 0 for spec in shards}
         self.scans: Dict[int, ShardScan] = {}
         self.outcomes: Dict[int, ShardOutcome] = {}
         self.lost = lost
         self.cancelled = False
 
-    def _cancel_requested(self) -> bool:
-        return self.cancel_event is not None and self.cancel_event.is_set()
+    def _describe(self, index: int, spec: ShardSpec) -> str:
+        return f"shard {index} scan"
 
-    def _record_scan(self, spec: ShardSpec, payload: Dict[str, Any], status: str) -> None:
+    def _args(self, index: int, spec: ShardSpec) -> Tuple[Any, ...]:
+        return (
+            spec.source, index, spec.sha256, self.cap, self.attempts[index], self.fault_plan
+        )
+
+    def _submit(self, pool: Any, index: int, spec: ShardSpec) -> Future:
+        return pool.submit(_scan_shard_worker, *self._args(index, spec))
+
+    def _run_inline(self, index: int, spec: ShardSpec) -> Dict[str, Any]:
+        return _scan_shard_worker(*self._args(index, spec), inline=True)
+
+    def _record_success(
+        self, index: int, spec: ShardSpec, payload: Dict[str, Any], status: str
+    ) -> None:
         if self.writer is not None:
             self.writer.write_shard_scan(
-                spec.index, payload["transactions"], payload["items"]
+                index, payload["transactions"], payload["items"]
             )
             self.stats.checkpoint_shards_written += 1
-        self.pending.pop(spec.index, None)
-        self.scans[spec.index] = ShardScan(
-            shard=spec.index,
+        self.pending.pop(index, None)
+        self.scans[index] = ShardScan(
+            shard=index,
             transactions=payload["transactions"],
             items=payload["items"],
             pmfs=payload["pmfs"],
         )
         self.stats.shards_scanned += 1
-        self.outcomes[spec.index] = ShardOutcome(
-            shard=spec.index,
+        self.outcomes[index] = ShardOutcome(
+            shard=index,
             status=status,
-            attempts=self.attempts[spec.index] + 1,
+            attempts=self.attempts[index] + 1,
             transactions=spec.transactions,
         )
 
-    def _record_loss(self, spec: ShardSpec, error: BaseException) -> None:
+    def _give_up(self, index: int, spec: ShardSpec, error: BaseException) -> None:
+        """Hand the lost shard to the loss policy: abort, or continue degraded."""
         reason = f"{type(error).__name__}: {error}"
         surviving = self.total_shards - len(self.lost) - 1
         # The shard is lost whatever the policy decides; count it first so
         # live stats (and the service's robustness aggregates) see losses
         # under fail-strict too, where the next line aborts the run.
         self.stats.shards_lost += 1
-        decision = self.policy(spec.index, reason, surviving, len(self.lost) + 1)
+        decision = self.policy(index, reason, surviving, len(self.lost) + 1)
         if decision != "degrade":
             raise ShardLossError(
-                f"shard {spec.index} lost after {self.attempts[spec.index]} "
+                f"shard {index} lost after {self.attempts[index]} "
                 f"attempt(s) under policy {self.policy_name!r}: {reason}"
             ) from error
         logger.warning(
             "shard %d lost, continuing degraded (%d surviving): %s",
-            spec.index, surviving, reason,
+            index, surviving, reason,
         )
-        self.pending.pop(spec.index, None)
-        self.lost[spec.index] = reason
-        self.outcomes[spec.index] = ShardOutcome(
-            shard=spec.index,
+        self.pending.pop(index, None)
+        self.lost[index] = reason
+        self.outcomes[index] = ShardOutcome(
+            shard=index,
             status="lost",
-            attempts=self.attempts[spec.index],
+            attempts=self.attempts[index],
             transactions=spec.transactions,
             error=reason,
         )
         if self.writer is not None:
-            self.writer.write_shard_lost(spec.index, reason)
+            self.writer.write_shard_lost(index, reason)
 
     def _record_cancellation(self) -> None:
         self.cancelled = True
@@ -506,156 +517,6 @@ class _ScanSupervision:
             )
         if self.writer is not None:
             self.writer.write_cancelled([])
-
-    def _charge_attempt(self, index: int) -> None:
-        self.attempts[index] += 1
-        if self.attempts[index] <= self.supervisor.max_retries:
-            self.stats.shard_retries += 1
-
-    def _resolve_exhausted(self) -> None:
-        for index in sorted(self.pending):
-            if self._cancel_requested():
-                return
-            if self.attempts[index] <= self.supervisor.max_retries:
-                continue
-            spec = self.pending[index]
-            if not self.supervisor.inline_fallback:
-                self._record_loss(
-                    spec,
-                    RuntimeError("retry budget exhausted (inline fallback disabled)"),
-                )
-                continue
-            logger.warning(
-                "shard %d: retry budget exhausted, scanning inline", index
-            )
-            try:
-                payload = _scan_shard_worker(
-                    spec.source,
-                    index,
-                    spec.sha256,
-                    self.cap,
-                    self.attempts[index],
-                    self.fault_plan,
-                    inline=True,
-                )
-            except BaseException as error:  # noqa: BLE001 - goes to the loss policy
-                if isinstance(error, (KeyboardInterrupt, SystemExit, ShardLossError)):
-                    raise
-                self._record_loss(spec, error)
-            else:
-                self.stats.shards_recovered_inline += 1
-                self._record_scan(spec, payload, "recovered-inline")
-
-    def run(self) -> None:
-        if not self.pending:
-            return
-        if self._cancel_requested():
-            self._record_cancellation()
-            return
-        pool = _new_pool(self.processes)
-        try:
-            while self.pending:
-                self._resolve_exhausted()
-                if not self.pending or self._cancel_requested():
-                    break
-                pool = self._run_round(pool)
-            if self._cancel_requested() and self.pending:
-                self._record_cancellation()
-        finally:
-            _terminate_pool(pool)
-
-    def _run_round(self, pool: Any) -> Any:
-        supervisor = self.supervisor
-        backoff = max(
-            (supervisor.backoff_seconds(self.attempts[i]) for i in self.pending),
-            default=0.0,
-        )
-        if backoff > 0.0:
-            time.sleep(backoff)
-
-        futures: Dict[Future, ShardSpec] = {}
-        deadlines: Dict[Future, float] = {}
-        for index in sorted(self.pending):
-            spec = self.pending[index]
-            future = pool.submit(
-                _scan_shard_worker,
-                spec.source,
-                index,
-                spec.sha256,
-                self.cap,
-                self.attempts[index],
-                self.fault_plan,
-            )
-            futures[future] = spec
-
-        pool_broken = False
-        timeout_kill = False
-        while futures:
-            done, _ = wait(
-                set(futures),
-                timeout=supervisor.poll_interval_seconds,
-                return_when=FIRST_COMPLETED,
-            )
-            for future in done:
-                spec = futures.pop(future)
-                deadlines.pop(future, None)
-                try:
-                    payload = future.result()
-                except BrokenExecutor:
-                    pool_broken = True
-                    self._charge_attempt(spec.index)
-                except Exception as error:
-                    self._charge_attempt(spec.index)
-                    logger.warning(
-                        "shard %d scan attempt %d raised: %s",
-                        spec.index, self.attempts[spec.index], error,
-                    )
-                    if (
-                        self.attempts[spec.index] > supervisor.max_retries
-                        and not supervisor.inline_fallback
-                    ):
-                        self._record_loss(spec, error)
-                else:
-                    self._record_scan(spec, payload, "scanned")
-            if pool_broken:
-                break
-
-            if self._cancel_requested():
-                _terminate_pool(pool)
-                return pool
-
-            if supervisor.branch_timeout_seconds is None:
-                continue
-
-            now = time.monotonic()
-            for future in futures:
-                if future not in deadlines and future.running():
-                    deadlines[future] = now + supervisor.branch_timeout_seconds
-            overdue = [f for f, deadline in deadlines.items() if now > deadline]
-            if overdue:
-                for future in overdue:
-                    spec = futures.pop(future)
-                    deadlines.pop(future, None)
-                    self.stats.shard_timeouts += 1
-                    self._charge_attempt(spec.index)
-                    logger.warning(
-                        "shard %d scan attempt %d timed out after %.3fs",
-                        spec.index, self.attempts[spec.index],
-                        supervisor.branch_timeout_seconds,
-                    )
-                pool_broken = True
-                timeout_kill = True
-                break
-
-        if pool_broken:
-            if not timeout_kill:
-                # Unattributable breakage: charge every in-flight shard.
-                for spec in futures.values():
-                    self._charge_attempt(spec.index)
-            _terminate_pool(pool)
-            self.stats.pool_rebuilds += 1
-            return _new_pool(self.processes)
-        return pool
 
 
 # ----------------------------------------------------------------------
@@ -896,15 +757,10 @@ def run_sharded(
     known_scans: Dict[int, ShardScan] = {}
     lost: Dict[int, str] = {}
     if checkpoint_path is not None:
-        if resume_from_checkpoint:
-            checkpoint = load_checkpoint(checkpoint_path)
-            if checkpoint.cancelled:
-                raise CheckpointCancelledError(
-                    f"{checkpoint_path}: this sharded run was cancelled; a "
-                    "cancelled checkpoint cannot be resumed — delete the file "
-                    "and start a fresh run"
-                )
-            validate_fingerprint(checkpoint.fingerprint, fingerprint, checkpoint_path)
+        writer, checkpoint = open_checkpoint(
+            checkpoint_path, fingerprint, resume=resume_from_checkpoint
+        )
+        if checkpoint is not None:
             for index, record in checkpoint.shard_scans.items():
                 known_scans[index] = ShardScan(
                     shard=index,
@@ -913,19 +769,6 @@ def run_sharded(
                     pmfs=None,
                 )
             lost = dict(checkpoint.lost_shards)
-            writer = CheckpointWriter(
-                checkpoint_path,
-                fingerprint,
-                fresh=False,
-                truncate_to=checkpoint.valid_bytes,
-            )
-        else:
-            if has_checkpoint_header(checkpoint_path):
-                raise CheckpointError(
-                    f"{checkpoint_path}: already holds a checkpoint; resume "
-                    "from it (CLI: --resume) or delete the file to start over"
-                )
-            writer = CheckpointWriter(checkpoint_path, fingerprint, fresh=True)
 
     outcomes: Dict[int, ShardOutcome] = {}
     for index, reason in sorted(lost.items()):

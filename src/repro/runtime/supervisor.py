@@ -49,6 +49,11 @@ Every recovery action increments a ``MiningStats`` counter
 ``checkpoint_branches_written``, ``checkpoint_branches_skipped``), all
 surfaced in ``MiningStats.report()["runtime"]``.
 
+The loop itself is :class:`RecoveryLadder`; the shard scans of
+:mod:`repro.runtime.sharding` run on it too, with their own counters and
+the shard-loss policy as their final rung.  Pool workers exit on their own
+when the supervising process dies (:func:`_worker_process_init`).
+
 Determinism: branch results depend only on (database, config, rank), never
 on scheduling, retry count, or which recovery path ran — so a supervised
 run under fault injection returns exactly the serial miner's results on the
@@ -58,6 +63,7 @@ exact-check configuration (asserted in ``tests/test_runtime_faults.py``).
 from __future__ import annotations
 
 import logging
+import os
 import signal
 import threading
 import time
@@ -65,7 +71,7 @@ from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wai
 from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, Generic, List, Optional, Tuple, TypeVar, Union
 
 from ..core.config import MinerConfig
 from ..core.database import UncertainDatabase
@@ -74,15 +80,13 @@ from ..core.miner import MPFCIMiner, ProbabilisticFrequentClosedItemset
 from ..core.parallel import BranchTask, plan_root_branches
 from ..core.stats import MiningStats
 from .checkpoint import (
-    CheckpointCancelledError,
+    Checkpoint,
     CheckpointError,
     CheckpointWriter,
     config_fingerprint,
     deserialize_result,
-    has_checkpoint_header,
-    load_checkpoint,
+    open_checkpoint,
     serialize_result,
-    validate_fingerprint,
 )
 from .faults import FaultPlan
 
@@ -249,30 +253,12 @@ class SupervisorReport:
         )
 
 
+BranchResult = Tuple[List[ProbabilisticFrequentClosedItemset], MiningStats]
+
+
 # ----------------------------------------------------------------------
 # worker entry points (module-level: ProcessPoolExecutor pickles by name)
 # ----------------------------------------------------------------------
-def _mine_one_branch(
-    database: UncertainDatabase,
-    config: MinerConfig,
-    item: Item,
-    extensions: Tuple[Item, ...],
-    rank: int,
-) -> Tuple[List[ProbabilisticFrequentClosedItemset], MiningStats]:
-    """Mine one root branch under its derived seed (shared by pool + inline).
-
-    The seed rule (``config.seed + rank``) matches
-    :func:`repro.core.parallel.mine_pfci_parallel` and depends only on the
-    rank — never on the attempt — so retries are bit-reproducible.
-    """
-    branch_config = config.variant(
-        seed=None if config.seed is None else config.seed + rank
-    )
-    miner = MPFCIMiner(database, branch_config)
-    results = miner.mine_branch(item, extensions)
-    return results, miner.stats
-
-
 def _supervised_branch_worker(
     database: UncertainDatabase,
     config: MinerConfig,
@@ -281,18 +267,48 @@ def _supervised_branch_worker(
     rank: int,
     attempt: int,
     fault_plan: Optional[FaultPlan],
-) -> Tuple[List[ProbabilisticFrequentClosedItemset], MiningStats]:
-    """Pool worker: apply any scripted fault, then mine the branch."""
+    inline: bool = False,
+) -> BranchResult:
+    """Apply any scripted fault, then mine one root branch (pool or inline).
+
+    The branch runs under its derived seed.  The seed rule
+    (``config.seed + rank``) matches
+    :func:`repro.core.parallel.mine_pfci_parallel` and depends only on the
+    rank — never on the attempt — so retries are bit-reproducible.
+    """
     if fault_plan is not None:
-        fault_plan.apply(rank, attempt)
-    return _mine_one_branch(database, config, item, extensions, rank)
+        fault_plan.apply(rank, attempt, inline=inline)
+    branch_config = config.variant(
+        seed=None if config.seed is None else config.seed + rank
+    )
+    miner = MPFCIMiner(database, branch_config)
+    results = miner.mine_branch(item, extensions)
+    return results, miner.stats
 
 
 # ----------------------------------------------------------------------
 # pool lifecycle helpers
 # ----------------------------------------------------------------------
+#: How often a pool worker checks that the process that forked it is alive.
+_PARENT_POLL_SECONDS = 0.5
+
+
+def _exit_when_orphaned(parent: int) -> None:
+    """Watchdog thread body: end this worker once its parent is gone.
+
+    A parent killed with SIGKILL never shuts its pool down, so its workers
+    would wait on the call queue forever, reparented to init.
+    ``PR_SET_PDEATHSIG`` alone does not cover this: it fires when the
+    *thread* that forked the worker exits, and the service forks its pools
+    from a runner thread.
+    """
+    while os.getppid() == parent:
+        time.sleep(_PARENT_POLL_SECONDS)
+    os._exit(1)
+
+
 def _worker_process_init() -> None:
-    """Pool-worker initializer: shed the host process's signal plumbing.
+    """Pool-worker initializer: shed the host's signal plumbing, watch the parent.
 
     Fork-started workers inherit the parent's signal handlers *and* its
     ``signal.set_wakeup_fd`` pipe.  When the parent is an asyncio host
@@ -301,7 +317,8 @@ def _worker_process_init() -> None:
     the *shared* wakeup pipe — and the parent's event loop reads it as if
     the host itself had been signalled.  Resetting to the default
     disposition (and detaching the wakeup fd) keeps worker lifecycle
-    signals inside the worker.
+    signals inside the worker.  A daemon thread then exits the worker when
+    its parent dies (:func:`_exit_when_orphaned`).
     """
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.signal(signal.SIGINT, signal.SIG_DFL)
@@ -309,6 +326,9 @@ def _worker_process_init() -> None:
         signal.set_wakeup_fd(-1)
     except (ValueError, OSError):  # non-main thread or closed fd: nothing to shed
         pass
+    threading.Thread(
+        target=_exit_when_orphaned, args=(os.getppid(),), daemon=True
+    ).start()
 
 
 def _new_pool(processes: Optional[int]) -> ProcessPoolExecutor:
@@ -334,155 +354,118 @@ def _terminate_pool(pool: ProcessPoolExecutor) -> None:
 
 
 # ----------------------------------------------------------------------
-# the supervisor
+# the recovery ladder
 # ----------------------------------------------------------------------
-class _Supervision:
-    """One supervised run's mutable state and recovery loop."""
+TaskT = TypeVar("TaskT")
+ValueT = TypeVar("ValueT")
+
+
+class RecoveryLadder(Generic[TaskT, ValueT]):
+    """The one recovery loop behind branch mining and shard scans.
+
+    Internal to :mod:`repro.runtime`, not public API.  Tasks are keyed by
+    an int (branch rank, shard index).  Each round dispatches every pending
+    task once, after the backoff of its most-retried task; a task's
+    deadline starts when it starts running on a worker.  A timeout kills
+    the pool and charges only the overdue task (the rest are collateral);
+    a ``BrokenExecutor`` charges every in-flight task; either way the pool
+    is rebuilt.  A task out of pool retries runs inline, and if that fails
+    too it goes to the final rung.  Cancellation is cooperative: it is
+    checked every round and every poll.
+
+    A subclass supplies the pieces that differ per kind of task: how a task
+    is described in logs, submitted to the pool and run inline, what a
+    success records, the final rung (:meth:`_give_up`), the cancellation
+    record, and the names of its ``MiningStats`` counters (``None`` keeps
+    no counter).
+    """
+
+    retries_counter: str
+    timeouts_counter: str
+    inline_counter: str
+    dispatched_counter: Optional[str] = None
+    collateral_counter: Optional[str] = None
 
     def __init__(
         self,
-        database: UncertainDatabase,
-        config: MinerConfig,
-        tasks: List[BranchTask],
+        tasks: Dict[int, TaskT],
         processes: Optional[int],
         supervisor: SupervisorConfig,
         fault_plan: Optional[FaultPlan],
         writer: Optional[CheckpointWriter],
-        merged: MiningStats,
-        cancel_event: Optional[threading.Event] = None,
+        stats: MiningStats,
+        cancel_event: Optional[threading.Event],
     ) -> None:
-        self.database = database
-        self.config = config
+        self.pending: Dict[int, TaskT] = dict(tasks)
+        self.attempts: Dict[int, int] = {key: 0 for key in tasks}
+        self.processes = processes
         self.supervisor = supervisor
         self.fault_plan = fault_plan
         self.writer = writer
-        self.merged = merged
+        self.stats = stats
         self.cancel_event = cancel_event
-        self.processes = processes
-        self.pending: Dict[int, BranchTask] = {task.rank: task for task in tasks}
-        self.attempts: Dict[int, int] = {task.rank: 0 for task in tasks}
-        self.results: List[ProbabilisticFrequentClosedItemset] = []
-        self.outcomes: Dict[int, BranchOutcome] = {}
 
-    # -- branch completion paths ---------------------------------------
-    def _record_success(
-        self,
-        task: BranchTask,
-        branch_results: List[ProbabilisticFrequentClosedItemset],
-        branch_stats: MiningStats,
-        status: str,
-    ) -> None:
-        if self.writer is not None:
-            # Checkpoint *before* keeping the results: a branch whose record
-            # could not be made durable (disk full, read-only volume) is a
-            # failed branch — counting it as completed would let a resumed
-            # run silently lose it.  The writer is retired after the first
-            # failure; the durable prefix on disk stays resumable, later
-            # branches complete uncheckpointed, and the run reports >= 1
-            # failed branch so the job ends failed instead of hanging.
-            try:
-                self.writer.write_branch(
-                    task.rank, task.item, branch_results, branch_stats
-                )
-            except CheckpointError as error:
-                self.writer = None
-                self._record_failure(task, error)
-                return
-            self.merged.checkpoint_branches_written += 1
-        self.pending.pop(task.rank, None)
-        self.results.extend(branch_results)
-        self.merged.merge(branch_stats)
-        self.outcomes[task.rank] = BranchOutcome(
-            rank=task.rank,
-            item=task.item,
-            status=status,
-            attempts=self.attempts[task.rank] + 1,
-        )
+    # -- what each kind of task supplies ----------------------------------
+    def _describe(self, key: int, task: TaskT) -> str:
+        raise NotImplementedError
 
-    def _record_failure(self, task: BranchTask, error: BaseException) -> None:
-        self.pending.pop(task.rank, None)
-        self.merged.branches_failed += 1
-        self.outcomes[task.rank] = BranchOutcome(
-            rank=task.rank,
-            item=task.item,
-            status="failed",
-            attempts=self.attempts[task.rank],
-            error=f"{type(error).__name__}: {error}",
-        )
-        logger.error(
-            "branch %d (%r) failed after %d attempt(s): %s",
-            task.rank, task.item, self.attempts[task.rank], error,
-        )
-        if self.supervisor.fail_fast:
-            raise BranchFailedError(
-                f"branch {task.rank} ({task.item!r}) failed after "
-                f"{self.attempts[task.rank]} attempt(s): {error}"
-            ) from error
+    def _submit(self, pool: ProcessPoolExecutor, key: int, task: TaskT) -> Future:
+        raise NotImplementedError
+
+    def _run_inline(self, key: int, task: TaskT) -> ValueT:
+        raise NotImplementedError
+
+    def _record_success(self, key: int, task: TaskT, value: ValueT, status: str) -> None:
+        raise NotImplementedError
+
+    def _give_up(self, key: int, task: TaskT, error: BaseException) -> None:
+        """Final rung: the task exhausted every recovery path."""
+        raise NotImplementedError
+
+    def _record_cancellation(self) -> None:
+        """Resolve every still-pending task as cancelled."""
+        raise NotImplementedError
+
+    # -- the shared ladder ------------------------------------------------
+    def _count(self, counter: Optional[str]) -> None:
+        if counter is not None:
+            setattr(self.stats, counter, getattr(self.stats, counter) + 1)
 
     def _cancelled(self) -> bool:
         return self.cancel_event is not None and self.cancel_event.is_set()
 
-    def _record_cancellation(self) -> None:
-        """Resolve every still-pending branch as cancelled, durably.
-
-        The checkpoint gets one ``cancelled`` record naming the abandoned
-        ranks, so the file can never be mistaken for a merely *interrupted*
-        run: resume refuses it, and a service restart will not resurrect —
-        or cache the eventual results of — deliberately killed work.
-        """
-        ranks = sorted(self.pending)
-        for rank in ranks:
-            task = self.pending.pop(rank)
-            self.merged.branches_cancelled += 1
-            self.outcomes[rank] = BranchOutcome(
-                rank=rank,
-                item=task.item,
-                status="cancelled",
-                attempts=self.attempts[rank],
-            )
-        logger.info("run cancelled with %d branch(es) unfinished", len(ranks))
-        if self.writer is not None and ranks:
-            self.writer.write_cancelled(ranks)
-
-    def _charge_attempt(self, rank: int) -> None:
-        """Consume one attempt; count the retry if the branch stays eligible."""
-        self.attempts[rank] += 1
-        if self.attempts[rank] <= self.supervisor.max_retries:
-            self.merged.branch_retries += 1
+    def _charge_attempt(self, key: int) -> None:
+        """Consume one attempt; count the retry if the task stays eligible."""
+        self.attempts[key] += 1
+        if self.attempts[key] <= self.supervisor.max_retries:
+            self._count(self.retries_counter)
 
     def _resolve_exhausted(self) -> None:
-        """Inline-execute (or fail) every branch that is out of pool retries."""
-        for rank in sorted(self.pending):
+        """Run inline (or give up on) every task that is out of pool retries."""
+        for key in sorted(self.pending):
             if self._cancelled():
                 return
-            if self.attempts[rank] <= self.supervisor.max_retries:
+            if self.attempts[key] <= self.supervisor.max_retries:
                 continue
-            task = self.pending[rank]
+            task = self.pending[key]
             if not self.supervisor.inline_fallback:
-                self._record_failure(
+                self._give_up(
+                    key,
                     task,
                     RuntimeError("retry budget exhausted (inline fallback disabled)"),
                 )
                 continue
             logger.warning(
-                "branch %d (%r): retry budget exhausted, running inline",
-                rank, task.item,
+                "%s: retry budget exhausted, running inline", self._describe(key, task)
             )
             try:
-                if self.fault_plan is not None:
-                    self.fault_plan.apply(rank, self.attempts[rank], inline=True)
-                branch_results, branch_stats = _mine_one_branch(
-                    self.database, self.config, task.item, task.extensions, rank
-                )
-            except BaseException as error:  # noqa: BLE001 - reported, not hidden
-                if isinstance(error, (KeyboardInterrupt, SystemExit, BranchFailedError)):
-                    raise
-                self._record_failure(task, error)
+                value = self._run_inline(key, task)
+            except Exception as error:  # noqa: BLE001 - goes to the final rung
+                self._give_up(key, task, error)
             else:
-                self.merged.branches_recovered_inline += 1
-                self._record_success(task, branch_results, branch_stats, "recovered-inline")
+                self._count(self.inline_counter)
+                self._record_success(key, task, value, "recovered-inline")
 
-    # -- the dispatch loop ---------------------------------------------
     def run(self) -> None:
         if not self.pending:
             return
@@ -502,35 +485,24 @@ class _Supervision:
             _terminate_pool(pool)
 
     def _run_round(self, pool: ProcessPoolExecutor) -> ProcessPoolExecutor:
-        """Dispatch every pending branch once; handle one failure wave.
+        """Dispatch every pending task once; handle one failure wave.
 
         Returns the pool to use next round (a fresh one after breakage or a
         timeout kill).
         """
         supervisor = self.supervisor
         backoff = max(
-            (supervisor.backoff_seconds(self.attempts[rank]) for rank in self.pending),
+            (supervisor.backoff_seconds(self.attempts[key]) for key in self.pending),
             default=0.0,
         )
         if backoff > 0.0:
             time.sleep(backoff)
 
-        futures: Dict[Future, BranchTask] = {}
+        futures: Dict[Future, int] = {}
         deadlines: Dict[Future, float] = {}
-        for rank in sorted(self.pending):
-            task = self.pending[rank]
-            future = pool.submit(
-                _supervised_branch_worker,
-                self.database,
-                self.config,
-                task.item,
-                task.extensions,
-                rank,
-                self.attempts[rank],
-                self.fault_plan,
-            )
-            self.merged.branches_dispatched += 1
-            futures[future] = task
+        for key in sorted(self.pending):
+            futures[self._submit(pool, key, self.pending[key])] = key
+            self._count(self.dispatched_counter)
 
         pool_broken = False
         timeout_kill = False
@@ -541,36 +513,37 @@ class _Supervision:
                 return_when=FIRST_COMPLETED,
             )
             for future in done:
-                task = futures.pop(future)
+                key = futures.pop(future)
                 deadlines.pop(future, None)
+                task = self.pending[key]
                 try:
-                    branch_results, branch_stats = future.result()
+                    value = future.result()
                 except BrokenExecutor:
                     # The pool is poisoned; every in-flight future is lost
                     # and none of them can be blamed individually.  This
-                    # branch is charged here, the still-pending ones below.
+                    # task is charged here, the still-pending ones below.
                     pool_broken = True
-                    self._charge_attempt(task.rank)
-                except Exception as error:  # clean per-branch failure
-                    self._charge_attempt(task.rank)
+                    self._charge_attempt(key)
+                except Exception as error:  # clean per-task failure
+                    self._charge_attempt(key)
                     logger.warning(
-                        "branch %d (%r) attempt %d raised: %s",
-                        task.rank, task.item, self.attempts[task.rank], error,
+                        "%s attempt %d raised: %s",
+                        self._describe(key, task), self.attempts[key], error,
                     )
                     if (
-                        self.attempts[task.rank] > supervisor.max_retries
+                        self.attempts[key] > supervisor.max_retries
                         and not supervisor.inline_fallback
                     ):
-                        self._record_failure(task, error)
+                        self._give_up(key, task, error)
                 else:
-                    self._record_success(task, branch_results, branch_stats, "completed")
+                    self._record_success(key, task, value, "completed")
             if pool_broken:
                 break
 
             if self._cancelled():
                 # Cooperative cancel: keep everything that finished before
                 # the signal (already recorded and checkpointed above), kill
-                # the in-flight workers, and leave their branches pending for
+                # the in-flight workers, and leave their tasks pending for
                 # run() to resolve as cancelled.  Nothing is charged an
                 # attempt — cancellation is not a failure.
                 _terminate_pool(pool)
@@ -579,10 +552,10 @@ class _Supervision:
             if supervisor.branch_timeout_seconds is None:
                 continue
 
-            # Deadline sweep: a branch's clock starts when it begins
-            # running on a worker, so queued branches never time out while
-            # they wait for a slot.  Any overdue branch means a hung worker
-            # that only a pool kill can dislodge.
+            # Deadline sweep: a task's clock starts when it begins running
+            # on a worker, so queued tasks never time out while they wait
+            # for a slot.  Any overdue task means a hung worker that only a
+            # pool kill can dislodge.
             now = time.monotonic()
             for future in futures:
                 if future not in deadlines and future.running():
@@ -592,13 +565,13 @@ class _Supervision:
             ]
             if overdue:
                 for future in overdue:
-                    task = futures.pop(future)
+                    key = futures.pop(future)
                     deadlines.pop(future, None)
-                    self.merged.branch_timeouts += 1
-                    self._charge_attempt(task.rank)
+                    self._count(self.timeouts_counter)
+                    self._charge_attempt(key)
                     logger.warning(
-                        "branch %d (%r) attempt %d timed out after %.3fs",
-                        task.rank, task.item, self.attempts[task.rank],
+                        "%s attempt %d timed out after %.3fs",
+                        self._describe(key, self.pending[key]), self.attempts[key],
                         supervisor.branch_timeout_seconds,
                     )
                 pool_broken = True
@@ -606,21 +579,169 @@ class _Supervision:
                 break
 
         if pool_broken:
-            for future, task in futures.items():
+            for key in futures.values():
                 if timeout_kill:
-                    # The kill is attributable to the timed-out branch(es),
+                    # The kill is attributable to the timed-out task(s),
                     # already charged above; everything else in flight is
                     # collateral and keeps its full retry budget.
-                    self.merged.branch_collateral_restarts += 1
+                    self._count(self.collateral_counter)
                 else:
                     # Unattributable breakage (BrokenProcessPool): no single
-                    # branch can be blamed, so every in-flight branch is
-                    # charged one attempt.
-                    self._charge_attempt(task.rank)
+                    # task can be blamed, so every in-flight task is charged
+                    # one attempt.
+                    self._charge_attempt(key)
             _terminate_pool(pool)
-            self.merged.pool_rebuilds += 1
+            self.stats.pool_rebuilds += 1
             return _new_pool(self.processes)
         return pool
+
+
+# ----------------------------------------------------------------------
+# branch supervision
+# ----------------------------------------------------------------------
+class _Supervision(RecoveryLadder[BranchTask, BranchResult]):
+    """Root-branch mining on the recovery ladder."""
+
+    retries_counter = "branch_retries"
+    timeouts_counter = "branch_timeouts"
+    inline_counter = "branches_recovered_inline"
+    dispatched_counter = "branches_dispatched"
+    collateral_counter = "branch_collateral_restarts"
+
+    def __init__(
+        self,
+        database: UncertainDatabase,
+        config: MinerConfig,
+        tasks: List[BranchTask],
+        processes: Optional[int],
+        supervisor: SupervisorConfig,
+        fault_plan: Optional[FaultPlan],
+        writer: Optional[CheckpointWriter],
+        stats: MiningStats,
+        cancel_event: Optional[threading.Event] = None,
+    ) -> None:
+        super().__init__(
+            {task.rank: task for task in tasks},
+            processes,
+            supervisor,
+            fault_plan,
+            writer,
+            stats,
+            cancel_event,
+        )
+        self.database = database
+        self.config = config
+        self.results: List[ProbabilisticFrequentClosedItemset] = []
+        self.outcomes: Dict[int, BranchOutcome] = {}
+
+    def restore(self, checkpoint: Checkpoint, path: PathLike) -> None:
+        """Replay the branches ``checkpoint`` already holds: keep their
+        results and stats, and take them off the to-do list."""
+        planned = len(self.pending)
+        for rank, record in sorted(checkpoint.branches.items()):
+            if self.pending.pop(rank, None) is None:
+                raise CheckpointError(
+                    f"{path}: checkpoint holds branch {rank} but "
+                    f"this run only plans {planned} branches"
+                )
+            self.results.extend(record.results)
+            self.stats.merge(record.stats)
+            self.stats.checkpoint_branches_skipped += 1
+            self.outcomes[rank] = BranchOutcome(
+                rank=rank, item=record.item, status="checkpointed", attempts=0
+            )
+
+    def _describe(self, rank: int, task: BranchTask) -> str:
+        return f"branch {rank} ({task.item!r})"
+
+    def _args(self, rank: int, task: BranchTask) -> Tuple[Any, ...]:
+        return (
+            self.database,
+            self.config,
+            task.item,
+            task.extensions,
+            rank,
+            self.attempts[rank],
+            self.fault_plan,
+        )
+
+    def _submit(self, pool: ProcessPoolExecutor, rank: int, task: BranchTask) -> Future:
+        return pool.submit(_supervised_branch_worker, *self._args(rank, task))
+
+    def _run_inline(self, rank: int, task: BranchTask) -> BranchResult:
+        return _supervised_branch_worker(*self._args(rank, task), inline=True)
+
+    def _record_success(
+        self, rank: int, task: BranchTask, value: BranchResult, status: str
+    ) -> None:
+        branch_results, branch_stats = value
+        if self.writer is not None:
+            # Checkpoint *before* keeping the results: a branch whose record
+            # could not be made durable (disk full, read-only volume) is a
+            # failed branch — counting it as completed would let a resumed
+            # run silently lose it.  The writer is retired after the first
+            # failure; the durable prefix on disk stays resumable, later
+            # branches complete uncheckpointed, and the run reports >= 1
+            # failed branch so the job ends failed instead of hanging.
+            try:
+                self.writer.write_branch(rank, task.item, branch_results, branch_stats)
+            except CheckpointError as error:
+                self.writer = None
+                self._give_up(rank, task, error)
+                return
+            self.stats.checkpoint_branches_written += 1
+        self.pending.pop(rank, None)
+        self.results.extend(branch_results)
+        self.stats.merge(branch_stats)
+        self.outcomes[rank] = BranchOutcome(
+            rank=rank,
+            item=task.item,
+            status=status,
+            attempts=self.attempts[rank] + 1,
+        )
+
+    def _give_up(self, rank: int, task: BranchTask, error: BaseException) -> None:
+        """Report the branch failed (or raise under ``fail_fast``)."""
+        self.pending.pop(rank, None)
+        self.stats.branches_failed += 1
+        self.outcomes[rank] = BranchOutcome(
+            rank=rank,
+            item=task.item,
+            status="failed",
+            attempts=self.attempts[rank],
+            error=f"{type(error).__name__}: {error}",
+        )
+        logger.error(
+            "branch %d (%r) failed after %d attempt(s): %s",
+            rank, task.item, self.attempts[rank], error,
+        )
+        if self.supervisor.fail_fast:
+            raise BranchFailedError(
+                f"branch {rank} ({task.item!r}) failed after "
+                f"{self.attempts[rank]} attempt(s): {error}"
+            ) from error
+
+    def _record_cancellation(self) -> None:
+        """Resolve every still-pending branch as cancelled, durably.
+
+        The checkpoint gets one ``cancelled`` record naming the abandoned
+        ranks, so the file can never be mistaken for a merely *interrupted*
+        run: resume refuses it, and a service restart will not resurrect —
+        or cache the eventual results of — deliberately killed work.
+        """
+        ranks = sorted(self.pending)
+        for rank in ranks:
+            task = self.pending.pop(rank)
+            self.stats.branches_cancelled += 1
+            self.outcomes[rank] = BranchOutcome(
+                rank=rank,
+                item=task.item,
+                status="cancelled",
+                attempts=self.attempts[rank],
+            )
+        logger.info("run cancelled with %d branch(es) unfinished", len(ranks))
+        if self.writer is not None and ranks:
+            self.writer.write_cancelled(ranks)
 
 
 # ----------------------------------------------------------------------
@@ -686,67 +807,29 @@ def run_supervised(
     merged.merge(planner_stats)
 
     writer: Optional[CheckpointWriter] = None
-    completed: Dict[int, BranchOutcome] = {}
-    recovered_results: List[ProbabilisticFrequentClosedItemset] = []
-    remaining = tasks
+    checkpoint: Optional[Checkpoint] = None
     if checkpoint_path is not None:
-        fingerprint = (
+        writer, checkpoint = open_checkpoint(
+            checkpoint_path,
             fingerprint_override
             if fingerprint_override is not None
-            else config_fingerprint(database, config)
+            else config_fingerprint(database, config),
+            resume=resume_from_checkpoint,
         )
-        if resume_from_checkpoint:
-            checkpoint = load_checkpoint(checkpoint_path)
-            if checkpoint.cancelled:
-                raise CheckpointCancelledError(
-                    f"{checkpoint_path}: this run was cancelled with "
-                    f"{len(checkpoint.cancelled_ranks)} branch(es) abandoned; "
-                    "a cancelled checkpoint cannot be resumed — delete the "
-                    "file and start a fresh run"
-                )
-            validate_fingerprint(checkpoint.fingerprint, fingerprint, checkpoint_path)
-            known_ranks = {task.rank for task in tasks}
-            for rank, record in sorted(checkpoint.branches.items()):
-                if rank not in known_ranks:
-                    raise CheckpointError(
-                        f"{checkpoint_path}: checkpoint holds branch {rank} but "
-                        f"this run only plans {len(tasks)} branches"
-                    )
-                recovered_results.extend(record.results)
-                merged.merge(record.stats)
-                merged.checkpoint_branches_skipped += 1
-                completed[rank] = BranchOutcome(
-                    rank=rank, item=record.item, status="checkpointed", attempts=0
-                )
-            remaining = [task for task in tasks if task.rank not in completed]
-            writer = CheckpointWriter(
-                checkpoint_path,
-                fingerprint,
-                fresh=False,
-                truncate_to=checkpoint.valid_bytes,
-            )
-        else:
-            if has_checkpoint_header(checkpoint_path):
-                raise CheckpointError(
-                    f"{checkpoint_path}: already holds a checkpoint; resume "
-                    "from it (CLI: --resume) or delete the file to start over"
-                )
-            writer = CheckpointWriter(checkpoint_path, fingerprint, fresh=True)
-
     supervision = _Supervision(
         database=database,
         config=config,
-        tasks=remaining,
+        tasks=tasks,
         processes=processes,
         supervisor=supervisor,
         fault_plan=fault_plan,
         writer=writer,
-        merged=merged,
+        stats=merged,
         cancel_event=cancel_event,
     )
-    supervision.results.extend(recovered_results)
-    supervision.outcomes.update(completed)
     try:
+        if checkpoint is not None:
+            supervision.restore(checkpoint, checkpoint_path)
         supervision.run()
     finally:
         if writer is not None:

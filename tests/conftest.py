@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
+from pathlib import Path
 from typing import Dict, List, Sequence, Tuple
 
 import pytest
@@ -34,9 +36,11 @@ from tests.strategies import (
 
 __all__ = [
     "ITEM_POOL",
+    "assert_processes_exit",
     "brute_force_closed",
     "brute_force_frequent",
     "brute_force_frequent_probability",
+    "child_pids",
     "exact_transactions",
     "item_uncertain_databases",
     "probability_lists",
@@ -109,6 +113,45 @@ def brute_force_frequent_probability(
         if count >= min_sup:
             total += weight
     return total
+
+
+# ----------------------------------------------------------------------
+# process hygiene
+# ----------------------------------------------------------------------
+def _proc_state(pid: int) -> Tuple[str, int]:
+    """``(state, parent pid)`` of ``pid`` from ``/proc/<pid>/stat``."""
+    # The command name is parenthesized and may hold spaces: split after it.
+    fields = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()
+    return fields[0], int(fields[1])
+
+
+def child_pids(pid: int) -> List[int]:
+    """Direct children of ``pid``; empty where there is no ``/proc``."""
+    children = []
+    for entry in Path("/proc").glob("[0-9]*"):
+        try:
+            if _proc_state(int(entry.name))[1] == pid:
+                children.append(int(entry.name))
+        except (OSError, IndexError, ValueError):
+            continue  # exited while we looked
+    return children
+
+
+def assert_processes_exit(pids: Sequence[int], timeout: float = 5.0) -> None:
+    """Every pid must be gone, or a zombie, within ``timeout`` seconds."""
+
+    def running(pid: int) -> bool:
+        try:
+            return _proc_state(pid)[0] != "Z"
+        except (OSError, IndexError, ValueError):
+            return False
+
+    deadline = time.monotonic() + timeout
+    alive = [pid for pid in pids if running(pid)]
+    while alive and time.monotonic() < deadline:
+        time.sleep(0.1)
+        alive = [pid for pid in alive if running(pid)]
+    assert not alive, f"processes {alive} outlived their killed parent"
 
 
 # ----------------------------------------------------------------------

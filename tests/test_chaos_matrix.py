@@ -34,6 +34,7 @@ from repro.runtime import (
 )
 from repro.runtime.faults import BranchFault
 
+from tests.conftest import assert_processes_exit, child_pids
 from tests.strategies.databases import random_uncertain_database
 from tests.test_service_http import (
     FAST_BODY,
@@ -91,10 +92,17 @@ class TestRetryPath:
         )
         assert report.results == serial_results
         assert report.complete and not report.degraded
+        stats = report.stats
         if kind == "hang":
-            assert report.stats.shard_timeouts >= 1
+            # One timeout kill: one charged retry, one rebuilt pool, no
+            # inline run, and no scan event lands in a branch counter.
+            assert (stats.shard_timeouts, stats.shard_retries) == (1, 1)
+            assert stats.pool_rebuilds == 1
+            assert stats.shards_recovered_inline == 0
+            assert stats.branch_timeouts == stats.branch_retries == 0
+            assert stats.branch_collateral_restarts == 0
         else:
-            assert report.stats.shard_retries >= 1
+            assert stats.shard_retries >= 1
 
     def test_slow_io_succeeds_without_tripping_recovery(
         self, database, config, serial_results
@@ -221,10 +229,14 @@ class TestKillNineDuringShardMerge:
                         break
                 assert time.monotonic() < deadline, "scan records never appeared"
                 time.sleep(0.05)
+            workers = child_pids(child.pid)
         finally:
             if child.poll() is None:
                 os.kill(child.pid, signal.SIGKILL)
             child.wait(timeout=30)
+        # The killed run's pool workers must not outlive it.
+        assert workers or not Path("/proc").is_dir()
+        assert_processes_exit(workers)
 
         checkpoint = load_checkpoint(checkpoint_path)
         assert len(checkpoint.shard_scans) == 2

@@ -52,6 +52,30 @@ class TestMineCommand:
         with pytest.raises(SystemExit):
             main(["mine", paper_file])
 
+    @pytest.mark.parametrize(
+        "runner, flags",
+        [("run_supervised", ["--max-retries", "0"]), ("run_sharded", ["--shards", "2"])],
+    )
+    def test_failed_branch_warns_and_exits_one(
+        self, paper_file, capsys, monkeypatch, runner, flags
+    ):
+        import repro.runtime
+        from repro.runtime import BranchOutcome, ShardedReport
+
+        failed = BranchOutcome(
+            rank=1, item="b", status="failed", attempts=3, error="RuntimeError: boom"
+        )
+        monkeypatch.setattr(
+            repro.runtime,
+            runner,
+            lambda *args, **kwargs: ShardedReport(results=[], outcomes=[failed]),
+        )
+        assert main(["mine", paper_file, "--min-sup", "2", *flags]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: branch 1 ('b') failed after 3 attempt(s): RuntimeError: boom",
+            "warning: 1 branch(es) failed; results are partial",
+        ]
+
 
 class TestStreamMineCommand:
     @pytest.fixture

@@ -138,7 +138,7 @@ class TestResolution:
 # ----------------------------------------------------------------------
 class TestBuiltinTables:
     def test_expected_builtins_are_registered(self):
-        assert TIDSET_BACKENDS.names() == ["bitmap", "bitmap-noprefix", "tuple"]
+        assert TIDSET_BACKENDS.names() == ["bitmap", "tuple"]
         assert UNCERTAINTY_MODELS.names() == ["attribute", "tuple"]
         assert UNION_LOWER_BOUNDS.names() == ["dawson_sankoff", "de_caen"]
         assert UNION_UPPER_BOUNDS.names() == ["boole", "kwerel"]

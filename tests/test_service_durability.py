@@ -27,6 +27,7 @@ from repro.core.config import MinerConfig
 from repro.data.io import load_uncertain_database
 from repro.runtime import run_supervised
 from repro.runtime.checkpoint import serialize_result
+from tests.conftest import assert_processes_exit, child_pids
 
 REPO_SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -161,7 +162,11 @@ class TestKillMinus9Durability:
             while checkpoint_branch_records(checkpoint) < 2:
                 assert time.monotonic() < deadline, "no checkpoint progress"
                 time.sleep(0.05)
+            workers = child_pids(service.proc.pid)
             service.sigkill()
+            # The killed service's pool workers must not outlive it.
+            assert workers or not Path("/proc").is_dir()
+            assert_processes_exit(workers)
 
             # The crash left the manifest mid-flight, not terminal.
             manifest = json.loads(

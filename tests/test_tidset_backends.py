@@ -254,6 +254,28 @@ class TestBatchedKernels:
 # ----------------------------------------------------------------------
 # mining parity: batch
 # ----------------------------------------------------------------------
+def clustered_database(rows: int = 192, seed: int = 7) -> UncertainDatabase:
+    """A 3-word database whose frequent items live in the first word only."""
+    rng = random.Random(seed)
+    transactions = []
+    for tid in range(rows):
+        items = []
+        if tid < 40:
+            items.append("a")
+        if tid < 30:
+            items.append("b")
+        if tid < 25:
+            items.append("c")
+        if rng.random() < 0.3:
+            items.append("x")
+        if rng.random() < 0.3:
+            items.append("y")
+        if not items:
+            items.append("z")
+        transactions.append((f"T{tid}", items, 0.3 + 0.6 * rng.random()))
+    return UncertainDatabase.from_rows(transactions)
+
+
 class TestMiningParity:
     @given(uncertain_databases(min_transactions=2, max_transactions=8))
     @settings(
@@ -318,6 +340,15 @@ class TestMiningParity:
         )
         assert_identical_results(tuple_results, bitmap_results)
 
+    def test_dfs_parity_on_clustered_database(self):
+        # Three words wide with the frequent items in the first word only,
+        # so every frequent prefix has two all-zero words.
+        tuple_results, bitmap_results = mine_both(
+            clustered_database(), min_sup=5, pfct=0.4
+        )
+        assert bitmap_results
+        assert_identical_results(tuple_results, bitmap_results)
+
     def test_bfs_parity(self):
         rng = random.Random(5)
         database = random_uncertain_database(rng, 40)
@@ -355,88 +386,6 @@ class TestMiningParity:
         assert miner.stats.tidset_intersections > 0
         assert miner.stats.tidset_words_anded == 0
         assert miner.stats.dp_batch_invocations == 0
-
-
-# ----------------------------------------------------------------------
-# per-prefix kernels: active-word restriction + gather caching
-# ----------------------------------------------------------------------
-def clustered_database(rows: int = 192, seed: int = 7) -> UncertainDatabase:
-    """A 3-word database whose frequent items live in the first word only.
-
-    Every prefix over ``a``/``b``/``c`` has two all-zero bitmap words, which
-    is exactly the shape the active-word restriction exploits: intersections
-    under such a prefix need to AND and popcount one word column, not three.
-    """
-    rng = random.Random(seed)
-    transactions = []
-    for tid in range(rows):
-        items = []
-        if tid < 40:
-            items.append("a")
-        if tid < 30:
-            items.append("b")
-        if tid < 25:
-            items.append("c")
-        if rng.random() < 0.3:
-            items.append("x")
-        if rng.random() < 0.3:
-            items.append("y")
-        if not items:
-            items.append("z")
-        transactions.append((f"T{tid}", items, 0.3 + 0.6 * rng.random()))
-    return UncertainDatabase.from_rows(transactions)
-
-
-class TestPrefixKernels:
-    """The ``bitmap`` vs ``bitmap-noprefix`` ablation, counter by counter.
-
-    The CI-scale benchmark cannot show the active-word reduction (its bitmap
-    is two words wide and frequent prefixes span both), so the strict
-    inequality lives here, on a purpose-built clustered database.
-    """
-
-    def _mine(self, database, backend):
-        config = MinerConfig(min_sup=5, pfct=0.4, tidset_backend=backend)
-        miner = MPFCIMiner(database, config)
-        results = miner.mine()
-        return results, miner.stats
-
-    def test_active_word_restriction_cuts_words_anded(self):
-        database = clustered_database()
-        cached_results, cached = self._mine(database, "bitmap")
-        ablated_results, ablated = self._mine(database, "bitmap-noprefix")
-        tuple_results, _ = self._mine(database, "tuple")
-        # Bit-for-bit parity first: the kernels must change the work done,
-        # never the answer.
-        assert_identical_results(cached_results, ablated_results)
-        assert_identical_results(cached_results, tuple_results)
-        # The clustered prefixes have 2 of 3 words zero, so the cached
-        # engine ANDs strictly fewer word columns.
-        assert cached.tidset_words_anded < ablated.tidset_words_anded
-        # The ablated engine never touches the prefix cache.
-        assert cached.tidset_prefix_misses > 0
-        assert ablated.tidset_prefix_hits == 0
-        assert ablated.tidset_prefix_misses == 0
-
-    def test_prefix_cache_resets_between_runs(self):
-        database = clustered_database()
-        config = MinerConfig(min_sup=5, pfct=0.4, tidset_backend="bitmap")
-        miner = MPFCIMiner(database, config)
-        miner.mine()
-        first = (
-            miner.stats.tidset_prefix_hits,
-            miner.stats.tidset_prefix_misses,
-            miner.stats.tidset_words_anded,
-        )
-        # reset_transients() drops the cache at run start, so a re-run does
-        # identical work — no carried-over hits.
-        miner.mine()
-        second = (
-            miner.stats.tidset_prefix_hits,
-            miner.stats.tidset_prefix_misses,
-            miner.stats.tidset_words_anded,
-        )
-        assert first == second
 
 
 # ----------------------------------------------------------------------
