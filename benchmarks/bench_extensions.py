@@ -114,7 +114,7 @@ def test_expected_support_miners(benchmark, quest_db, miner):
 
 
 def test_parallel_mining(benchmark, quest_db):
-    from repro.core.parallel import mine_pfci_parallel
+    from repro import mine_pfci_parallel
 
     config = default_config(quest_db, 0.25).variant(exact_event_limit=64)
     results = run_once(

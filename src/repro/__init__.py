@@ -42,7 +42,6 @@ from .core.closedness import (
     frequent_probability_of,
 )
 from .core.naive import NaiveMiner
-from .core.parallel import mine_pfci_parallel
 from .core.topk import TopKResult, mine_top_k_pfci
 from .core.verify import VerificationReport, verify_results
 from .core.rules import (
@@ -50,6 +49,7 @@ from .core.rules import (
     generate_probabilistic_rules,
     rule_confidence_probability,
 )
+from .runtime import mine_pfci_parallel
 
 __version__ = "1.0.0"
 

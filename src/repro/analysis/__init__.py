@@ -14,7 +14,7 @@ repro.analysis``, or :func:`analyze_paths` / :func:`analyze_source`.
 
 from .diagnostics import AnalysisReport, Diagnostic, Severity
 from .engine import analyze_paths, analyze_source, iter_python_files
-from .registry import RULES, Finding, Rule, all_rule_names, register
+from .registry import RULES, Finding, Rule, register
 
 __all__ = [
     "AnalysisReport",
@@ -23,7 +23,6 @@ __all__ = [
     "RULES",
     "Rule",
     "Severity",
-    "all_rule_names",
     "analyze_paths",
     "analyze_source",
     "iter_python_files",

@@ -19,7 +19,7 @@ from typing import List, Optional
 
 from .diagnostics import Severity
 from .engine import analyze_paths
-from .registry import RULES, all_rule_names
+from .registry import RULES
 
 
 def _default_paths() -> List[str]:
@@ -66,8 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _list_rules() -> int:
-    for name in all_rule_names():
-        rule_class = RULES[name]
+    for name, rule_class in RULES.items():
         print(f"{name}  [{rule_class.severity.name}]")
         print(f"    {rule_class.description}")
         if rule_class.invariant:

@@ -6,7 +6,6 @@ import ast
 from pathlib import Path
 from typing import Iterable, List, Optional, Sequence
 
-from . import rules as _rules  # noqa: F401  (import registers the rule set)
 from .context import ModuleContext, derive_module_name
 from .diagnostics import AnalysisReport, Diagnostic, Severity
 from .registry import Rule, resolve_rules

@@ -2,18 +2,20 @@
 
 A rule is a class with ``name`` / ``severity`` / ``description`` /
 ``invariant`` class attributes and a :meth:`Rule.check` generator producing
-:class:`Finding` records.  ``@register`` adds it to the global :data:`RULES`
-table the engine and CLI enumerate.  ``invariant`` states the paper/repo
-contract the rule protects — it is surfaced by ``repro-lint --list-rules``
-and in ``docs/static_analysis.md``.
+:class:`Finding` records.  ``@register`` adds it to :data:`RULES`, a
+:class:`repro.registry.Registry` the engine and CLI enumerate; its bootstrap
+imports the rule modules on first lookup.  ``invariant`` states the
+paper/repo contract the rule protects — it is surfaced by ``repro-lint
+--list-rules`` and in ``docs/static_analysis.md``.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Type
+from typing import Iterator, List, Type
 
+from ..registry import Registry
 from .context import ModuleContext
 from .diagnostics import Severity
 
@@ -42,33 +44,18 @@ class Rule:
         raise NotImplementedError
 
 
-RULES: Dict[str, Type[Rule]] = {}
+RULES: Registry[Type[Rule]] = Registry(
+    "prolint rule", bootstrap="repro.analysis.rules"
+)
 
 
 def register(rule_class: Type[Rule]) -> Type[Rule]:
-    if not rule_class.name:
-        raise ValueError(f"rule {rule_class.__name__} has no name")
-    if rule_class.name in RULES:
-        raise ValueError(f"duplicate rule name {rule_class.name!r}")
-    RULES[rule_class.name] = rule_class
+    RULES.register(rule_class.name, rule_class)
     return rule_class
-
-
-def all_rule_names() -> List[str]:
-    return sorted(RULES)
 
 
 def resolve_rules(names: List[str] | None = None) -> List[Rule]:
     """Instantiate the selected rules (all registered rules by default)."""
     if names is None:
-        selected = all_rule_names()
-    else:
-        selected = []
-        for name in names:
-            canonical = name.strip().upper()
-            if canonical not in RULES:
-                raise ValueError(
-                    f"unknown rule {name!r} (known: {', '.join(all_rule_names())})"
-                )
-            selected.append(canonical)
-    return [RULES[name]() for name in selected]
+        return [rule_class() for _, rule_class in RULES.items()]
+    return [RULES.get(name.strip().upper())() for name in names]

@@ -111,7 +111,8 @@ def _add_mine_parser(subparsers) -> None:
         type=int,
         default=None,
         metavar="N",
-        help="mine root branches in N worker processes (dfs framework only)",
+        help="mine root branches in N worker processes under the supervised "
+        "runtime (dfs framework only)",
     )
     parser.add_argument(
         "--max-size", type=int, default=None, help="cap on result itemset length"
@@ -350,6 +351,11 @@ def _command_mine(args: argparse.Namespace) -> int:
             "--shards cannot be combined with a .shards.json input "
             "(the manifest already fixes the partition)"
         )
+    if manifest_input and args.verify:
+        return _error(
+            "--verify cannot be combined with a .shards.json input "
+            "(the exact audit needs the whole database in memory)"
+        )
     if args.shards is not None and args.shards < 1:
         return _error("--shards must be >= 1")
     shards = None
@@ -417,19 +423,13 @@ def _command_mine(args: argparse.Namespace) -> int:
         )
         if value is not None
     ]
-    supervised = any(flag != "--processes" for flag in dfs_only_flags) or sharded
-    if (dfs_only_flags or sharded) and args.framework != "dfs":
+    supervised = bool(dfs_only_flags) or sharded
+    if supervised and args.framework != "dfs":
         names = dfs_only_flags or ["sharded mining (.shards.json input)"]
         verb = "is" if len(names) == 1 else "are"
-        print(
-            f"{'/'.join(names)} {verb} only supported with "
-            "--framework dfs",
-            file=sys.stderr,
-        )
-        return 2
+        return _error(f"{'/'.join(names)} {verb} only supported with --framework dfs")
     if args.processes is not None and args.processes < 1:
-        print("--processes must be >= 1", file=sys.stderr)
-        return 2
+        return _error("--processes must be >= 1")
     if supervised:
         from .runtime import (
             CheckpointError,
@@ -496,14 +496,6 @@ def _command_mine(args: argparse.Namespace) -> int:
                 "results are partial",
                 file=sys.stderr,
             )
-    elif args.processes is not None:
-        from .core.parallel import mine_pfci_parallel
-        from .core.stats import MiningStats
-
-        stats = MiningStats()
-        results = mine_pfci_parallel(
-            database, config, processes=args.processes, stats=stats
-        )
     else:
         if args.framework == "dfs":
             miner = MPFCIMiner(database, config)
@@ -570,8 +562,7 @@ def _command_stream_mine(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as error:
         return _error(str(error))
     if args.window < 1:
-        print("--window must be >= 1", file=sys.stderr)
-        return 2
+        return _error("--window must be >= 1")
     try:
         if args.min_sup is not None:
             config = MinerConfig(

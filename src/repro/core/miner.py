@@ -185,11 +185,10 @@ class MPFCIMiner:
             self._cache.clear()
         else:
             self._cache = self._new_cache()
-        engine_before = self._engine.counters()
         results: List[ProbabilisticFrequentClosedItemset] = []
 
-        candidates = self._candidate_items()
-        self.stats.candidate_phase_seconds = time.perf_counter() - started
+        candidates = self.candidate_items()
+        engine_before = self._engine.counters()
         for position, item in enumerate(candidates):
             self._dfs(
                 itemset=(item,),
@@ -219,7 +218,7 @@ class MPFCIMiner:
         The DFS enumeration partitions cleanly at the root (each branch only
         reads its own itemsets plus global tidsets), so this is the public
         entry point branch-parallel drivers use: ``extensions`` is the tail
-        of the candidate item list after ``item``, exactly what
+        of :meth:`candidate_items` after ``item``, exactly what
         :meth:`mine` passes into the subtree.
 
         Unlike :meth:`mine`, statistics are *not* reset — repeated branch
@@ -262,7 +261,17 @@ class MPFCIMiner:
     # ------------------------------------------------------------------
     # phase 1: single-item candidates
     # ------------------------------------------------------------------
-    def _candidate_items(self) -> List[Item]:
+    def candidate_items(self) -> List[Item]:
+        """Phase 1: the items that survive the frequency filters, in item order.
+
+        The root branches of the DFS are exactly these items, which is how
+        the supervised runtime plans its branch split
+        (:func:`repro.runtime.supervisor.plan_root_branches`).  The call
+        counts its own time (``candidate_phase_seconds``), the cache
+        counters and the tidset engine's work into ``self.stats``.
+        """
+        started = time.perf_counter()
+        engine_before = self._engine.counters()
         items = self._engine.items
         if self._engine.vectorized and len(items) > 1:
             self._seed_extensions(
@@ -275,6 +284,9 @@ class MPFCIMiner:
             if not self._passes_frequency_pruning(tidset):
                 continue
             candidates.append(item)
+        self.stats.candidate_phase_seconds += time.perf_counter() - started
+        self._cache.apply_to(self.stats)
+        self._apply_engine_delta(engine_before)
         return candidates
 
     def _passes_frequency_pruning(self, tidset: Tidset) -> bool:

@@ -1,7 +1,8 @@
 """The generic name-keyed component registry.
 
-:class:`Registry` generalizes the pattern of :mod:`repro.analysis.registry`
-(the prolint rule table) into one reusable primitive: a mapping from
+:class:`Registry` is one reusable primitive for every name-keyed table in
+the package — the engine's extension seams in :mod:`repro.registry` and the
+prolint rule table (:mod:`repro.analysis.registry`): a mapping from
 *component names* to components with
 
 * **validated registration** — empty names, duplicate names, and components

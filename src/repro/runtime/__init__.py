@@ -1,13 +1,16 @@
 """Fault-tolerant mining runtime: supervision, checkpointing, fault injection.
 
-The serial miner (:mod:`repro.core.miner`) and the plain parallel driver
-(:mod:`repro.core.parallel`) assume every branch completes.  This package
-adds the operational layer for long or flaky runs:
+The serial miner (:mod:`repro.core.miner`) runs in one process and assumes
+it completes.  This package adds branch parallelism and the operational
+layer for long or flaky runs:
 
-* :mod:`repro.runtime.supervisor` — :func:`mine_pfci_supervised` /
-  :func:`run_supervised`: per-branch timeouts, bounded retries with
-  preserved derived seeds, ``BrokenProcessPool`` recovery, and an inline
-  last-resort execution path;
+* :mod:`repro.runtime.supervisor` — branch-parallel mining:
+  :func:`run_supervised` / :func:`mine_pfci_supervised` split the search at
+  its root branches (:func:`~repro.runtime.supervisor.plan_root_branches`)
+  and add per-branch timeouts, bounded retries with preserved derived
+  seeds, ``BrokenProcessPool`` recovery, and an inline last-resort
+  execution path; :func:`mine_pfci_parallel` is its fail-fast form, which
+  raises :class:`BranchFailedError` rather than return a partial list;
 * :mod:`repro.runtime.checkpoint` — durable append-only JSONL branch
   checkpoints with config fingerprinting, and :func:`resume` to continue an
   interrupted run bit-identically;
@@ -57,6 +60,7 @@ from .supervisor import (
     BranchOutcome,
     SupervisorConfig,
     SupervisorReport,
+    mine_pfci_parallel,
     mine_pfci_supervised,
     resume,
     run_supervised,
@@ -91,6 +95,7 @@ __all__ = [
     "fingerprint",
     "has_checkpoint_header",
     "load_checkpoint",
+    "mine_pfci_parallel",
     "mine_pfci_sharded",
     "mine_pfci_supervised",
     "resume",

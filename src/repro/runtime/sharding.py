@@ -85,7 +85,6 @@ from ..core.config import MinerConfig
 from ..core.database import UncertainDatabase
 from ..core.itemsets import Item, canonical
 from ..core.miner import ProbabilisticFrequentClosedItemset
-from ..core.parallel import plan_root_branches
 from ..core.stats import MiningStats
 from ..core.support import capped_support_pmf, frequent_probability, pmf_tail_convolve
 from ..registry import SHARD_LOSS_POLICIES
@@ -100,6 +99,7 @@ from .supervisor import (
     RecoveryLadder,
     SupervisorConfig,
     SupervisorReport,
+    plan_root_branches,
     run_supervised,
 )
 

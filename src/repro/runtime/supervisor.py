@@ -1,10 +1,16 @@
-"""Supervised branch-parallel mining: timeouts, retries, recovery, resume.
+"""Branch-parallel mining under supervision: timeouts, retries, recovery, resume.
 
-:func:`mine_pfci_parallel` (repro.core.parallel) assumes a perfect world —
-one crashed or hung worker aborts the whole run and discards every finished
-branch.  This module wraps the same branch decomposition
-(:func:`~repro.core.parallel.plan_root_branches`) in a supervision loop that
-treats worker failure as a normal event:
+MPFCI's depth-first enumeration partitions cleanly at the root: candidate
+item ``i``'s subtree (prefix ``(i,)`` with extension items ``> i``) is mined
+independently of every other branch, because every pruning rule (Lemmas
+4.1–4.4) reads only the branch's own itemsets plus global tidsets.
+:func:`plan_root_branches` runs phase 1 once and splits the root branches;
+this module mines them in worker processes through the public
+:meth:`~repro.core.miner.MPFCIMiner.mine_branch` entry point and merges the
+results and per-worker :class:`~repro.core.stats.MiningStats` (each worker
+owns a private support-DP cache, so ``dp_cache_hits + dp_cache_misses ==
+dp_requests`` holds for the merged run too).  It is the one branch-parallel
+mining path, and it treats worker failure as a normal event:
 
 * **per-branch timeouts** — each branch's wall-clock deadline starts when
   it begins *running* on a worker (queued branches cannot time out while
@@ -17,9 +23,8 @@ treats worker failure as a normal event:
   (``branch_collateral_restarts``);
 * **bounded retries with backoff** — a failed/timed-out branch is retried up
   to ``max_retries`` times with exponential backoff; its derived seed
-  (``config.seed + rank``, the same rule the plain parallel driver uses) is
-  preserved across retries, so a retry computes exactly what the first
-  attempt would have;
+  (``config.seed + rank``) is preserved across retries, so a retry computes
+  exactly what the first attempt would have;
 * **``BrokenProcessPool`` recovery** — a worker that dies hard (OOM killer,
   segfault, injected ``os._exit``) breaks the pool and poisons every
   in-flight future; the breakage cannot be attributed to a single branch, so
@@ -29,7 +34,8 @@ treats worker failure as a normal event:
   in-process in the supervisor (where a poisoned-pool or pickling problem
   cannot recur); if even that fails, the branch is reported as failed in the
   :class:`SupervisorReport` and counted in ``MiningStats.branches_failed``
-  without killing the run (set ``fail_fast=True`` to raise instead);
+  without killing the run (set ``fail_fast=True`` to raise instead, as
+  :func:`mine_pfci_parallel` does);
 * **checkpoint/resume** — with a checkpoint path, every completed branch is
   durably appended to a JSONL file (:mod:`repro.runtime.checkpoint`);
   resuming validates the config fingerprint and skips finished branches, so
@@ -58,11 +64,15 @@ Determinism: branch results depend only on (database, config, rank), never
 on scheduling, retry count, or which recovery path ran — so a supervised
 run under fault injection returns exactly the serial miner's results on the
 exact-check configuration (asserted in ``tests/test_runtime_faults.py``).
+The per-branch seed does differ from the serial miner's single shared
+stream, so on the sampling path results can differ on itemsets whose
+``Pr_FC`` lies within sampling noise of ``pfct``.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 import os
 import signal
 import threading
@@ -71,13 +81,12 @@ from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wai
 from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Generic, List, Optional, Tuple, TypeVar, Union
+from typing import Any, Dict, Generic, List, NamedTuple, Optional, Tuple, TypeVar, Union
 
 from ..core.config import MinerConfig
 from ..core.database import UncertainDatabase
 from ..core.itemsets import Item
 from ..core.miner import MPFCIMiner, ProbabilisticFrequentClosedItemset
-from ..core.parallel import BranchTask, plan_root_branches
 from ..core.stats import MiningStats
 from .checkpoint import (
     Checkpoint,
@@ -93,9 +102,12 @@ from .faults import FaultPlan
 __all__ = [
     "BranchFailedError",
     "BranchOutcome",
+    "BranchTask",
     "SupervisorConfig",
     "SupervisorReport",
+    "mine_pfci_parallel",
     "mine_pfci_supervised",
+    "plan_root_branches",
     "resume",
     "run_supervised",
 ]
@@ -143,6 +155,17 @@ class SupervisorConfig:
     poll_interval_seconds: float = 0.05
 
     def __post_init__(self) -> None:
+        for name in (
+            "branch_timeout_seconds",
+            "backoff_base_seconds",
+            "backoff_multiplier",
+            "backoff_cap_seconds",
+            "poll_interval_seconds",
+        ):
+            value = getattr(self, name)
+            # NaN passes every comparison below; inf breaks wait() and sleep().
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
         if self.branch_timeout_seconds is not None and not (
             self.branch_timeout_seconds > 0.0
         ):
@@ -257,6 +280,47 @@ BranchResult = Tuple[List[ProbabilisticFrequentClosedItemset], MiningStats]
 
 
 # ----------------------------------------------------------------------
+# branch planning
+# ----------------------------------------------------------------------
+class BranchTask(NamedTuple):
+    """One root branch of the prefix tree, ready to dispatch to a worker."""
+
+    item: Item
+    extensions: Tuple[Item, ...]
+    rank: int
+
+
+def plan_root_branches(
+    database: UncertainDatabase,
+    config: MinerConfig,
+    candidates: Optional[List[Item]] = None,
+) -> Tuple[List[BranchTask], MiningStats]:
+    """Run phase 1 (candidate filtering) once and split the root branches.
+
+    Returns the per-branch tasks in rank order plus the planner's
+    :class:`MiningStats`: the work :meth:`MPFCIMiner.candidate_items`
+    counts, which is exactly what :meth:`MPFCIMiner.mine` does before its
+    DFS loop.
+
+    ``candidates`` short-circuits the filtering: the sharded runtime
+    (:mod:`repro.runtime.sharding`) recomputes the identical candidate list
+    from merged per-shard scans and passes it here, so the branch split —
+    item order, extension suffixes, ranks — is byte-for-byte the one an
+    unsharded planner would produce, without re-reading the database.
+    """
+    stats = MiningStats()
+    if candidates is None:
+        planner = MPFCIMiner(database, config)
+        candidates = planner.candidate_items()
+        stats = planner.stats
+    tasks = [
+        BranchTask(item, tuple(candidates[position + 1 :]), position)
+        for position, item in enumerate(candidates)
+    ]
+    return tasks, stats
+
+
+# ----------------------------------------------------------------------
 # worker entry points (module-level: ProcessPoolExecutor pickles by name)
 # ----------------------------------------------------------------------
 def _supervised_branch_worker(
@@ -271,10 +335,9 @@ def _supervised_branch_worker(
 ) -> BranchResult:
     """Apply any scripted fault, then mine one root branch (pool or inline).
 
-    The branch runs under its derived seed.  The seed rule
-    (``config.seed + rank``) matches
-    :func:`repro.core.parallel.mine_pfci_parallel` and depends only on the
-    rank — never on the attempt — so retries are bit-reproducible.
+    The branch runs under its derived seed.  This is the one place the seed
+    rule (``config.seed + rank``) lives; it depends only on the rank —
+    never on the attempt — so retries are bit-reproducible.
     """
     if fault_plan is not None:
         fault_plan.apply(rank, attempt, inline=inline)
@@ -763,7 +826,8 @@ def run_supervised(
     """Mine under supervision and return the full :class:`SupervisorReport`.
 
     Args:
-        database / config / processes: as :func:`mine_pfci_parallel`.
+        database / config: what to mine, as :meth:`MPFCIMiner.mine` takes.
+        processes: worker count (``None`` = ``os.cpu_count()``).
         supervisor: recovery policy (defaults to :class:`SupervisorConfig`).
         checkpoint_path: when set, append every completed branch to this
             JSONL checkpoint.  Without ``resume_from_checkpoint``, a path
@@ -786,7 +850,7 @@ def run_supervised(
             workers, resolves the rest as ``"cancelled"`` outcomes, and
             durably marks the checkpoint cancelled so it cannot be resumed.
         plan: precomputed root-branch decomposition.  When provided,
-            :func:`~repro.core.parallel.plan_root_branches` is skipped and
+            :func:`plan_root_branches` is skipped and
             the caller owns the planner's candidate-phase stats — this is
             how the sharded runtime reuses the supervisor after computing
             the candidate screen from per-shard scans.
@@ -855,11 +919,14 @@ def mine_pfci_supervised(
     fault_plan: Optional[FaultPlan] = None,
     cancel_event: Optional[threading.Event] = None,
 ) -> List[ProbabilisticFrequentClosedItemset]:
-    """Drop-in, fault-tolerant counterpart of :func:`mine_pfci_parallel`.
+    """Mine under supervision and return only the result list.
 
-    Same signature conventions (``stats`` accumulates the merged run
-    counters; the return value matches :meth:`MPFCIMiner.mine`'s ordering),
-    plus the supervision keywords of :func:`run_supervised`.
+    ``stats``, when given, accumulates the merged run counters — the
+    planner's candidate-phase work plus every branch's — with
+    ``elapsed_seconds`` overwritten by the run's wall-clock (a sum of
+    per-worker times would report CPU seconds, not latency).  The return
+    value matches :meth:`MPFCIMiner.mine`'s ordering.  The other keywords
+    are those of :func:`run_supervised`.
     """
     report = run_supervised(
         database,
@@ -875,6 +942,27 @@ def mine_pfci_supervised(
         stats.merge(report.stats)
         stats.elapsed_seconds = report.stats.elapsed_seconds
     return report.results
+
+
+def mine_pfci_parallel(
+    database: UncertainDatabase,
+    config: MinerConfig,
+    processes: Optional[int] = None,
+    stats: Optional[MiningStats] = None,
+) -> List[ProbabilisticFrequentClosedItemset]:
+    """Mine with worker processes; never return a partial result list.
+
+    :func:`mine_pfci_supervised` under ``SupervisorConfig(fail_fast=True)``:
+    a branch that fails its pool retries and its inline run raises
+    :class:`BranchFailedError`, chained to the cause.
+    """
+    return mine_pfci_supervised(
+        database,
+        config,
+        processes=processes,
+        stats=stats,
+        supervisor=SupervisorConfig(fail_fast=True),
+    )
 
 
 def resume(

@@ -268,7 +268,7 @@ class PFCIMonitor:
     def _screen_item(self, item: Item, state: _ItemState, count: int) -> None:
         """Re-derive candidacy with the batch miner's filters, slack-guarded.
 
-        Matches ``MPFCIMiner._candidate_items`` decision-for-decision: the
+        Matches ``MPFCIMiner.candidate_items`` decision-for-decision: the
         count filter is exact; the CH bound only prunes when it clears
         ``pfct`` by more than the slack (a borderline bound falls through to
         the exact check, so the screen can never drop a branch the bound

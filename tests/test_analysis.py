@@ -16,7 +16,6 @@ import pytest
 from repro.analysis import (
     RULES,
     Severity,
-    all_rule_names,
     analyze_paths,
     analyze_source,
 )
@@ -45,7 +44,7 @@ def fixture_cases():
 
 class TestFixtureCorpus:
     def test_every_rule_has_fixture_coverage(self):
-        assert set(RULE_DIRECTORIES) == set(all_rule_names())
+        assert set(RULE_DIRECTORIES) == set(RULES.names())
         for rule_name, directory in RULE_DIRECTORIES.items():
             names = [path.name for path in (FIXTURE_ROOT / directory).glob("*.py")]
             assert any(name.startswith("bad_") for name in names), rule_name
@@ -178,7 +177,7 @@ class TestCli:
         code = lint_main(["--list-rules"])
         captured = capsys.readouterr()
         assert code == 0
-        for name in all_rule_names():
+        for name in RULES.names():
             assert name in captured.out
 
     def test_cli_module_entry_point(self):

@@ -1,5 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -54,7 +56,11 @@ class TestMineCommand:
 
     @pytest.mark.parametrize(
         "runner, flags",
-        [("run_supervised", ["--max-retries", "0"]), ("run_sharded", ["--shards", "2"])],
+        [
+            ("run_supervised", ["--max-retries", "0"]),
+            ("run_sharded", ["--shards", "2"]),
+            ("run_supervised", ["--processes", "2"]),
+        ],
     )
     def test_failed_branch_warns_and_exits_one(
         self, paper_file, capsys, monkeypatch, runner, flags
@@ -75,6 +81,18 @@ class TestMineCommand:
             "warning: branch 1 ('b') failed after 3 attempt(s): RuntimeError: boom",
             "warning: 1 branch(es) failed; results are partial",
         ]
+
+    def test_processes_runs_supervised_with_serial_results(self, paper_file, capsys):
+        assert main(["mine", paper_file, "--min-sup", "2", "--json"]) == 0
+        serial = json.loads(capsys.readouterr().out)
+        assert (
+            main(["mine", paper_file, "--min-sup", "2", "--processes", "2",
+                  "--json", "--stats"])
+            == 0
+        )
+        parallel = json.loads(capsys.readouterr().out)
+        assert parallel["results"] == serial["results"]
+        assert parallel["stats_report"]["runtime"]["branches_dispatched"] == 4
 
 
 class TestStreamMineCommand:
@@ -119,8 +137,6 @@ class TestStreamMineCommand:
     def test_matches_batch_miner_on_final_window(self, quest_file, capsys):
         """The incremental replay's final window equals batch mining the
         same last-20 transactions from scratch."""
-        import json
-
         from repro.core.config import MinerConfig
         from repro.core.database import UncertainDatabase
         from repro.core.miner import MPFCIMiner
@@ -148,8 +164,6 @@ class TestStreamMineCommand:
             )
             == 0
         )
-        import json
-
         payload = json.loads(capsys.readouterr().out)
         assert payload["window"] == 20
         assert payload["slides"] == 60

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.database import paper_table2_database
+from repro.data.columnar import save_shards
 from repro.data.io import save_uncertain_database
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -106,6 +107,16 @@ class TestConfigErrors:
         )
         assert_clean_failure(proc)
 
+    def test_non_positive_processes(self, paper_file):
+        proc = run_cli("mine", paper_file, "--min-sup", "2", "--processes", "0")
+        assert_clean_failure(proc)
+        assert "--processes" in proc.stderr
+
+    def test_stream_mine_non_positive_window(self, paper_file):
+        proc = run_cli("stream-mine", paper_file, "--window", "0", "--min-sup", "2")
+        assert_clean_failure(proc)
+        assert "--window" in proc.stderr
+
 
 class TestSupervisedFlags:
     def test_checkpoint_then_resume(self, paper_file, tmp_path):
@@ -152,8 +163,7 @@ class TestSupervisedFlags:
             "mine", paper_file, "--min-sup", "2", "--framework", "bfs",
             "--checkpoint", str(tmp_path / "run.ckpt"),
         )
-        assert proc.returncode == 2
-        assert "Traceback" not in proc.stderr
+        assert_clean_failure(proc)
         # The message names the flag actually passed, not --processes.
         assert "--checkpoint" in proc.stderr
         assert "--processes" not in proc.stderr
@@ -170,3 +180,11 @@ class TestSupervisedFlags:
         )
         assert_clean_failure(proc)
         assert "--resume" in proc.stderr
+
+    def test_manifest_input_refuses_verify(self, tmp_path):
+        # The exact audit needs the whole database, which a manifest run
+        # never loads; the combination is refused before any mining.
+        manifest = save_shards(paper_table2_database(), tmp_path, 2)
+        proc = run_cli("mine", str(manifest), "--min-sup", "2", "--verify")
+        assert_clean_failure(proc)
+        assert "--verify" in proc.stderr

@@ -97,8 +97,12 @@ class TestMinerConfigRejections:
         assert config.check_deadline_seconds == 0.001
 
 
+NAN = float("nan")
+INF = float("inf")
+
+
 class TestSupervisorConfigRejections:
-    @pytest.mark.parametrize("timeout", [0.0, -1.0])
+    @pytest.mark.parametrize("timeout", [0.0, -1.0, NAN, INF])
     def test_non_positive_branch_timeout(self, timeout):
         with pytest.raises(ValueError, match="branch_timeout_seconds"):
             SupervisorConfig(branch_timeout_seconds=timeout)
@@ -122,6 +126,21 @@ class TestSupervisorConfigRejections:
     def test_non_positive_poll_interval(self):
         with pytest.raises(ValueError, match="poll_interval_seconds"):
             SupervisorConfig(poll_interval_seconds=0.0)
+
+    @pytest.mark.parametrize("value", [NAN, INF])
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "backoff_base_seconds",
+            "backoff_multiplier",
+            "backoff_cap_seconds",
+            "poll_interval_seconds",
+        ],
+    )
+    def test_non_finite_float_field(self, field, value):
+        # NaN passes every range comparison; infinity breaks wait()/sleep().
+        with pytest.raises(ValueError, match=field):
+            SupervisorConfig(**{field: value})
 
     def test_backoff_schedule_is_capped_exponential(self):
         supervisor = SupervisorConfig(

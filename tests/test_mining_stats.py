@@ -13,7 +13,8 @@ accounting identities on *every* run, for every pruning variant:
   seeding) whenever work was done;
 * serial/parallel equivalence — on exact-path configurations the parallel
   driver returns the identical result set and its merged counters equal
-  the serial run's on every field that does not depend on cache sharing.
+  the serial run's on every field that does not depend on cache sharing,
+  except ``branches_dispatched``, which counts every planned branch once.
 """
 
 import random
@@ -22,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import mine_pfci_parallel
 from repro.core.bfs import MPFCIBreadthFirstMiner
 from repro.core.config import MinerConfig
 from repro.core.database import (
@@ -30,8 +32,8 @@ from repro.core.database import (
     paper_table4_database,
 )
 from repro.core.miner import MPFCIMiner
-from repro.core.parallel import mine_pfci_parallel
 from repro.core.stats import MinerStatistics, MiningStats
+from repro.runtime.supervisor import plan_root_branches
 from tests.conftest import uncertain_databases
 
 # Table VII pruning variants — the invariants must hold under all of them.
@@ -193,7 +195,18 @@ class TestSerialParallelEquivalence:
         for name, value in serial.items():
             if name in TIMING_FIELDS or name in CACHE_DEPENDENT_FIELDS:
                 continue
+            if name == "branches_dispatched":  # supervision, not mining work
+                continue
             assert merged[name] == value, name
+        # A clean parallel run dispatches every planned branch exactly once
+        # and takes no recovery step.
+        tasks, _ = plan_root_branches(database, config)
+        assert parallel_stats.branches_dispatched == len(tasks)
+        assert parallel_stats.branch_retries == 0
+        assert parallel_stats.branch_timeouts == 0
+        assert parallel_stats.pool_rebuilds == 0
+        assert parallel_stats.branches_recovered_inline == 0
+        assert parallel_stats.branches_failed == 0
         # Total DP traffic is cache-layout independent: each worker answers
         # hits + misses == requests locally, and requests per node are fixed.
         assert parallel_stats.dp_requests == serial_miner.stats.dp_requests

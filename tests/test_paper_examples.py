@@ -116,7 +116,7 @@ class TestExample43MiningRun:
 
     def test_candidate_items_are_abcd(self, paper_db):
         miner = MPFCIMiner(paper_db, MinerConfig(min_sup=2, pfct=0.8))
-        assert miner._candidate_items() == ["a", "b", "c", "d"]
+        assert miner.candidate_items() == ["a", "b", "c", "d"]
 
     def test_event_cd_probability(self, paper_db):
         """Section IV.B's Pr(C_i) formula on the {abc}+d event: 0.0972."""

@@ -1,13 +1,15 @@
 """Tests for parallel branch mining."""
 
+import multiprocessing
 import random
 
 import pytest
 
+from repro import mine_pfci_parallel
 from repro.core.config import MinerConfig
 from repro.core.database import UncertainDatabase
 from repro.core.miner import MPFCIMiner
-from repro.core.parallel import mine_pfci_parallel
+from repro.runtime import BranchFailedError
 
 
 class TestParallelMining:
@@ -57,3 +59,17 @@ class TestParallelMining:
         second = [(r.itemset, r.probability)
                   for r in mine_pfci_parallel(paper_db, config, processes=2)]
         assert first == second
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="pool workers must inherit the monkeypatched miner",
+    )
+    def test_branch_failing_every_recovery_step_raises(self, paper_db, monkeypatch):
+        def fail(self, item, extensions):
+            raise RuntimeError(f"branch {item!r} cannot be mined")
+
+        monkeypatch.setattr(MPFCIMiner, "mine_branch", fail)
+        config = MinerConfig(min_sup=2, pfct=0.8)
+        with pytest.raises(BranchFailedError) as excinfo:
+            mine_pfci_parallel(paper_db, config, processes=2)
+        assert isinstance(excinfo.value.__cause__, RuntimeError)

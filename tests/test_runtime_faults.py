@@ -13,7 +13,6 @@ import pytest
 from repro.core.config import MinerConfig
 from repro.core.database import paper_table2_database
 from repro.core.miner import MPFCIMiner
-from repro.core.parallel import plan_root_branches
 from repro.core.stats import MiningStats
 from repro.runtime import (
     BranchFailedError,
@@ -24,6 +23,7 @@ from repro.runtime import (
     mine_pfci_supervised,
     run_supervised,
 )
+from repro.runtime.supervisor import plan_root_branches
 
 
 @pytest.fixture(scope="module")

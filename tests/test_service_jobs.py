@@ -186,6 +186,12 @@ class TestParseJobRequest:
         body["supervisor"] = {"max_retrys": 2}
         self.assert_error(body, "unknown-field", "max_retrys")
 
+    def test_non_finite_supervisor_field(self):
+        # json.loads accepts the NaN literal, so an HTTP body can carry it.
+        body = GoodBody.make()
+        body["supervisor"] = json.loads('{"poll_interval_seconds": NaN}')
+        self.assert_error(body, "invalid-supervisor", "poll_interval_seconds")
+
 
 class TestJobStore:
     def test_create_materializes_and_fingerprints(self, tmp_path, database, config):

@@ -36,7 +36,7 @@ class TestStatisticsAccounting:
         stats = miner.stats
         # Every generated candidate is either pruned or visited as a node.
         assert stats.candidates_generated >= stats.nodes_visited - len(
-            miner._candidate_items()
+            miner.candidate_items()
         )
         assert stats.results_emitted <= stats.nodes_visited
 
