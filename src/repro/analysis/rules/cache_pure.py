@@ -30,7 +30,6 @@ _MEMOIZED_FUNCTIONS = {
     "frequent_probability",
     "frequent_probability_python",
     "frequent_probability_padded_batch",
-    "frequent_probability_masked_batch",
     "tail_probability_table",
     "support_pmf",
 }

@@ -5,94 +5,59 @@ prefix-joins of surviving level-``k`` itemsets.  Per the paper, the superset
 and subset prunings "won't show up in BFS's enumeration, which nullifies
 checking on ensuing pruning conditions", so this variant only uses the
 Chernoff–Hoeffding / exact frequency filters and the Lemma 4.4 probability
-bounds.  Every surviving itemset is checked the same way the DFS miner
-checks nodes, so both frameworks return identical result sets (a fact the
-tests assert); only the traversal — and therefore the pruning opportunity —
-differs.
+bounds.  Only the traversal is its own: the candidate filter and the whole
+check phase, degradation policy included, are inherited from
+:class:`~repro.core.miner.MPFCIMiner`, so every surviving itemset is checked
+the same way the DFS miner checks nodes and both frameworks return the same
+result sets (a fact the tests assert).
 """
 
 from __future__ import annotations
 
-import random
 import time
 from typing import Dict, List
 
-from .approx import approx_union_probability
-from .bounds import (
-    chernoff_hoeffding_bound_for_tidset,
-    frequent_closed_probability_bounds,
-)
-from .cache import SupportDPCache
 from .config import MinerConfig
 from .database import Tidset, UncertainDatabase
-from .events import ExtensionEventSystem
 from .itemsets import Itemset
-from .miner import ProbabilisticFrequentClosedItemset
-from .stats import MiningStats
+from .miner import MPFCIMiner, ProbabilisticFrequentClosedItemset
 
 __all__ = ["MPFCIBreadthFirstMiner"]
 
 
-class MPFCIBreadthFirstMiner:
-    """Breadth-first mining of probabilistic frequent closed itemsets."""
+class MPFCIBreadthFirstMiner(MPFCIMiner):
+    """Breadth-first mining of probabilistic frequent closed itemsets.
+
+    Overrides only the traversal of :class:`~repro.core.miner.MPFCIMiner`.
+    :meth:`~repro.core.miner.MPFCIMiner.mine_branch` walks one DFS subtree
+    and has no meaning here; nothing calls it on a breadth-first miner.
+    """
 
     def __init__(self, database: UncertainDatabase, config: MinerConfig) -> None:
-        self.database = database
         # Superset/subset pruning are structurally unavailable here.
-        self.config = config.variant(
-            use_superset_pruning=False, use_subset_pruning=False
-        )
-        self.stats = MiningStats()
-        self._rng = random.Random(config.seed)
-        self._engine = database.tidset_engine(self.config.tidset_backend)
-        self._cache = self._new_cache()
-
-    def _new_cache(self) -> SupportDPCache:
-        return SupportDPCache(
-            self.database, self.config.min_sup,
-            max_entries=self.config.dp_cache_size,
-            engine=self._engine,
+        super().__init__(
+            database,
+            config.variant(use_superset_pruning=False, use_subset_pruning=False),
         )
 
     def mine(self) -> List[ProbabilisticFrequentClosedItemset]:
+        """Run the level-wise search and return results sorted by itemset."""
         started = time.perf_counter()
-        self.stats = MiningStats()
-        self._rng = random.Random(self.config.seed)
-        self._cache = self._new_cache()
-        engine_before = self._engine.counters()
+        self._reset_run()
         results: List[ProbabilisticFrequentClosedItemset] = []
 
-        level: Dict[Itemset, Tidset] = {}
-        for item in self._engine.items:
-            tidset = self._engine.item_tidset(item)
-            self.stats.candidates_generated += 1
-            if self._passes_frequency_pruning(tidset):
-                level[(item,)] = tidset
-        self.stats.candidate_phase_seconds = time.perf_counter() - started
-
+        # Every root item is a generated candidate, as every join below is.
+        self.stats.candidates_generated += len(self._engine.items)
+        level: Dict[Itemset, Tidset] = {
+            (item,): self._item_tidsets[item] for item in self.candidate_items()
+        }
+        engine_before = self._engine.counters()
         while level:
             for itemset, tidset in level.items():
                 self.stats.nodes_visited += 1
                 self._check(itemset, tidset, results)
             level = self._next_level(level)
-
-        results.sort(key=lambda result: (len(result.itemset), result.itemset))
-        self.stats.results_emitted = len(results)
-        self.stats.elapsed_seconds = time.perf_counter() - started
-        self.stats.search_phase_seconds = max(
-            0.0,
-            self.stats.elapsed_seconds
-            - self.stats.candidate_phase_seconds
-            - self.stats.check_phase_seconds,
-        )
-        self._cache.apply_to(self.stats)
-        for name, value in self._engine.counters().items():
-            setattr(
-                self.stats,
-                name,
-                getattr(self.stats, name) + value - engine_before[name],
-            )
-        return results
+        return self._finish_run(results, started, engine_before)
 
     def _next_level(self, level: Dict[Itemset, Tidset]) -> Dict[Itemset, Tidset]:
         ordered = sorted(level)
@@ -107,110 +72,3 @@ class MPFCIBreadthFirstMiner:
                 if self._passes_frequency_pruning(tidset):
                     next_level[joined] = tidset
         return next_level
-
-    def _passes_frequency_pruning(self, tidset: Tidset) -> bool:
-        config = self.config
-        if len(tidset) < config.min_sup:
-            self.stats.pruned_by_count += 1
-            return False
-        if config.use_chernoff_pruning:
-            bound = chernoff_hoeffding_bound_for_tidset(
-                self._cache, len(self.database), tidset
-            )
-            if bound <= config.pfct:
-                self.stats.pruned_by_chernoff += 1
-                return False
-        self.stats.frequent_probability_evaluations += 1
-        if self._cache.frequent_probability_of_tidset(tidset) <= config.pfct:
-            self.stats.pruned_by_frequency += 1
-            return False
-        return True
-
-    def _check(
-        self,
-        itemset: Itemset,
-        tidset: Tidset,
-        results: List[ProbabilisticFrequentClosedItemset],
-    ) -> None:
-        started = time.perf_counter()
-        try:
-            self.stats.checks_performed += 1
-            self._check_inner(itemset, tidset, results)
-        finally:
-            self.stats.check_phase_seconds += time.perf_counter() - started
-
-    def _check_inner(
-        self,
-        itemset: Itemset,
-        tidset: Tidset,
-        results: List[ProbabilisticFrequentClosedItemset],
-    ) -> None:
-        config = self.config
-        frequent = self._cache.frequent_probability_of_tidset(tidset)
-        events = ExtensionEventSystem(
-            self.database,
-            itemset,
-            config.min_sup,
-            base_tidset=tidset,
-            support_cache=self._cache,
-        )
-        if events.has_certain_cooccurrence():
-            self.stats.skipped_certain_cooccurrence += 1
-            return
-        if not events.events:
-            self.stats.trivial_results += 1
-            results.append(
-                ProbabilisticFrequentClosedItemset(
-                    itemset, frequent, frequent, frequent, "trivial", frequent
-                )
-            )
-            return
-        if config.use_probability_bounds:
-            self.stats.bound_evaluations += 1
-            bounds = frequent_closed_probability_bounds(
-                frequent, events, config.lower_bound, config.upper_bound
-            )
-            if bounds.upper <= config.pfct:
-                self.stats.rejected_by_upper_bound += 1
-                return
-            if bounds.is_tight or bounds.lower > config.pfct:
-                if bounds.is_tight:
-                    self.stats.fcp_exact_evaluations += 1
-                    self.stats.decided_by_tight_bounds += 1
-                else:
-                    self.stats.accepted_by_lower_bound += 1
-                results.append(
-                    ProbabilisticFrequentClosedItemset(
-                        itemset, bounds.midpoint, bounds.lower, bounds.upper,
-                        "exact" if bounds.is_tight else "bound", frequent,
-                    )
-                )
-                return
-        if len(events.events) <= config.exact_event_limit:
-            self.stats.fcp_exact_evaluations += 1
-            probability = min(
-                max(frequent - events.union_probability_exact(), 0.0), frequent
-            )
-            if probability > config.pfct:
-                results.append(
-                    ProbabilisticFrequentClosedItemset(
-                        itemset, probability, probability, probability,
-                        "exact", frequent,
-                    )
-                )
-            return
-        union_estimate, samples = approx_union_probability(
-            events, config.epsilon, config.delta, self._rng
-        )
-        self.stats.fcp_sampled_evaluations += 1
-        self.stats.monte_carlo_samples += samples
-        probability = min(max(frequent - union_estimate, 0.0), frequent)
-        if probability > config.pfct:
-            results.append(
-                ProbabilisticFrequentClosedItemset(
-                    itemset, probability,
-                    max(probability - config.epsilon, 0.0),
-                    min(probability + config.epsilon, 1.0),
-                    "sampled", frequent,
-                )
-            )

@@ -179,12 +179,7 @@ class MPFCIMiner:
     def mine(self) -> List[ProbabilisticFrequentClosedItemset]:
         """Run the full algorithm and return results sorted by itemset."""
         started = time.perf_counter()
-        self.stats = MiningStats()
-        self._rng = random.Random(self.config.seed)
-        if self._external_cache:
-            self._cache.clear()
-        else:
-            self._cache = self._new_cache()
+        self._reset_run()
         results: List[ProbabilisticFrequentClosedItemset] = []
 
         candidates = self.candidate_items()
@@ -196,19 +191,7 @@ class MPFCIMiner:
                 extensions=candidates[position + 1 :],
                 results=results,
             )
-
-        results.sort(key=lambda result: (len(result.itemset), result.itemset))
-        self.stats.results_emitted = len(results)
-        self.stats.elapsed_seconds = time.perf_counter() - started
-        self.stats.search_phase_seconds = max(
-            0.0,
-            self.stats.elapsed_seconds
-            - self.stats.candidate_phase_seconds
-            - self.stats.check_phase_seconds,
-        )
-        self._cache.apply_to(self.stats)
-        self._apply_engine_delta(engine_before)
-        return results
+        return self._finish_run(results, started, engine_before)
 
     def mine_branch(
         self, item: Item, extensions: Sequence[Item]
@@ -235,10 +218,33 @@ class MPFCIMiner:
             extensions=list(extensions),
             results=results,
         )
+        return self._finish_run(results, started, engine_before)
+
+    def _reset_run(self) -> None:
+        """Fresh statistics, sampler stream and support-DP cache for a run."""
+        self.stats = MiningStats()
+        self._rng = random.Random(self.config.seed)
+        if self._external_cache:
+            self._cache.clear()
+        else:
+            self._cache = self._new_cache()
+
+    def _finish_run(
+        self,
+        results: List[ProbabilisticFrequentClosedItemset],
+        started: float,
+        engine_before: Dict[str, int],
+    ) -> List[ProbabilisticFrequentClosedItemset]:
+        """Sort ``results`` and add this call's totals to ``self.stats``.
+
+        Counts and wall-clock accumulate, so a run of :meth:`mine_branch`
+        calls sums its branches; after :meth:`_reset_run` they are this
+        call's own.  The search phase is whatever time is not candidate or
+        check time.
+        """
         results.sort(key=lambda result: (len(result.itemset), result.itemset))
-        elapsed = time.perf_counter() - started
         self.stats.results_emitted += len(results)
-        self.stats.elapsed_seconds += elapsed
+        self.stats.elapsed_seconds += time.perf_counter() - started
         self.stats.search_phase_seconds = max(
             0.0,
             self.stats.elapsed_seconds
@@ -378,7 +384,7 @@ class MPFCIMiner:
             self._check(itemset, tidset, results)
 
     def _seed_extensions(self, base: Tidset, candidates: Sequence[Tidset]) -> None:
-        """Batch the surviving extensions' ``Pr_F`` DPs into one masked run.
+        """Batch the surviving extensions' ``Pr_F`` DPs into one padded run.
 
         Applies the same zero-cost screens ``_passes_frequency_pruning`` will
         apply (count, then the Chernoff–Hoeffding bound when enabled) so the

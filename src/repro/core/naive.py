@@ -15,12 +15,12 @@ import time
 from typing import List
 
 from .approx import approx_union_probability
+from .cache import SupportDPCache
 from .config import MinerConfig
 from .database import UncertainDatabase
 from .events import ExtensionEventSystem
 from .miner import ProbabilisticFrequentClosedItemset
 from .stats import MinerStatistics
-from .support import SupportDistributionCache
 
 __all__ = ["NaiveMiner"]
 
@@ -46,7 +46,11 @@ class NaiveMiner:
         started = time.perf_counter()
         self.stats = MinerStatistics()
         rng = random.Random(self.config.seed)
-        cache = SupportDistributionCache(self.database, self.config.min_sup)
+        cache = SupportDPCache(
+            self.database, self.config.min_sup,
+            max_entries=self.config.dp_cache_size,
+            engine=self.database.tidset_engine(self.config.tidset_backend),
+        )
 
         miner = (
             mine_probabilistic_frequent_itemsets_topdown

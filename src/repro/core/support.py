@@ -32,7 +32,6 @@ __all__ = [
     "capped_support_pmf",
     "frequent_probability",
     "frequent_probability_python",
-    "frequent_probability_masked_batch",
     "frequent_probability_padded_batch",
     "sample_conditional_presence_batch",
     "support_pmf",
@@ -414,34 +413,6 @@ def frequent_probability_padded_batch(
     result = np.empty(batch)
     result[order] = finished
     return result
-
-
-def frequent_probability_masked_batch(
-    probabilities: FloatArray, membership: BoolArray, min_sup: int
-) -> FloatArray:
-    """Batched capped DP: ``Pr[support >= min_sup]`` for many sub-tidsets.
-
-    ``probabilities`` is the probability vector of a *base* tidset (length
-    ``k``, ascending position order) and ``membership`` a boolean ``(batch,
-    k)`` matrix whose rows mark which base positions each sub-tidset
-    contains.  Each row is compacted to its member probabilities and the
-    batch evaluated by :func:`frequent_probability_padded_batch`, so the
-    column loop runs over the longest member width rather than the base
-    width (rows shorter than ``min_sup`` end with exactly 0.0 mass at the
-    cap, matching the serial early return bit-for-bit).
-    """
-    membership = np.asarray(membership, dtype=bool)
-    batch = membership.shape[0]
-    if min_sup <= 0:
-        return np.ones(batch)
-    probabilities = np.asarray(probabilities, dtype=np.float64)
-    widths = membership.sum(axis=1)
-    max_width = int(widths.max()) if batch else 0
-    padded = np.zeros((batch, max_width))
-    rows, cols = np.nonzero(membership)
-    slots = (membership.cumsum(axis=1) - 1)[rows, cols]
-    padded[rows, slots] = probabilities[cols]
-    return frequent_probability_padded_batch(padded, min_sup)
 
 
 def frequent_probability_python(probabilities: Sequence[float], min_sup: int) -> float:

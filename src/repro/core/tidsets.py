@@ -51,7 +51,7 @@ from typing import (
 import numpy as np
 
 from ..registry import TIDSET_BACKENDS as _BACKEND_REGISTRY
-from ._types import BoolArray, FloatArray, IntArray, TidsetEngine, WordArray
+from ._types import FloatArray, IntArray, TidsetEngine, WordArray
 from .itemsets import Item, Itemset, canonical
 
 if TYPE_CHECKING:
@@ -607,21 +607,6 @@ class BitmapTidsetEngine(_EngineCounters):
             if self._items[row] not in item_set:
                 return True
         return False
-
-    def member_mask(
-        self, base: BitmapTidset, tidsets: Sequence[BitmapTidset]
-    ) -> BoolArray:
-        """Boolean ``(len(tidsets), len(base))`` membership matrix.
-
-        Row ``i``, column ``j`` is True when ``tidsets[i]`` contains the
-        ``j``-th position of ``base`` — the mask the batched support DP
-        consumes.  Every tidset must be a subset of ``base``.
-        """
-        base_bits = base.bit_index_array()
-        stacked = np.stack([tidset.words for tidset in tidsets])
-        bits = np.unpackbits(stacked.view(np.uint8), axis=1, bitorder="little")
-        self.gathers += len(tidsets)
-        return bits[:, base_bits].astype(bool)
 
 
 def make_engine(

@@ -1,10 +1,12 @@
 """Degradation policies: when an exact closedness check falls back to sampling.
 
-The miner's checking phase (:meth:`repro.core.miner.MPFCIMiner._check_inner`)
-computes ``Pr_FC`` exactly by inclusion–exclusion when an itemset has few
-extension events.  A *degradation policy* decides, per exact-eligible check,
-whether to abandon the exact path for the ApproxFCP sampling estimator —
-the graceful-degradation seam of ``docs/robustness.md``.
+The miners' checking phase (:meth:`repro.core.miner.MPFCIMiner._check_inner`,
+which the breadth-first :class:`repro.core.bfs.MPFCIBreadthFirstMiner`
+inherits) computes ``Pr_FC`` exactly by inclusion–exclusion when an itemset
+has few extension events.  A *degradation policy* decides, per
+exact-eligible check, whether to abandon the exact path for the ApproxFCP
+sampling estimator — the graceful-degradation seam of
+``docs/robustness.md``.
 
 A policy is a callable
 

@@ -6,11 +6,22 @@ import pytest
 
 from repro.core.bfs import MPFCIBreadthFirstMiner
 from repro.core.config import MinerConfig
-from repro.core.database import UncertainDatabase
+from repro.core.database import (
+    UncertainDatabase,
+    paper_table2_database,
+    paper_table4_database,
+)
 from repro.core.miner import MPFCIMiner
 from repro.core.naive import NaiveMiner
 from repro.core.closedness import frequent_closed_probability_exact
 from repro.core.possible_worlds import exact_frequent_closed_itemsets
+from repro.registry import DEGRADATION_POLICIES
+
+# Every registered policy, plus the default policy with no exact budget.
+DEGRADATION_SETUPS = {
+    **{name: {"degradation_policy": name} for name in DEGRADATION_POLICIES.names()},
+    "budget-0": {"exact_check_budget": 0},
+}
 
 
 def random_database(rng, max_n=8, max_m=5):
@@ -67,6 +78,25 @@ class TestBreadthFirstMiner:
         bfs.mine()
         assert bfs.stats.nodes_visited >= dfs.stats.nodes_visited
 
+    @pytest.mark.parametrize("overrides", DEGRADATION_SETUPS.values(),
+                             ids=DEGRADATION_SETUPS.keys())
+    @pytest.mark.parametrize("use_bounds", [True, False])
+    @pytest.mark.parametrize("database_factory",
+                             [paper_table2_database, paper_table4_database])
+    def test_checks_and_degrades_like_dfs(self, database_factory, use_bounds, overrides):
+        database = database_factory()
+        config = MinerConfig(
+            min_sup=2, pfct=0.5, use_probability_bounds=use_bounds, **overrides
+        )
+        dfs = MPFCIMiner(database, config)
+        bfs = MPFCIBreadthFirstMiner(database, config)
+
+        def labels(results):
+            return [(r.itemset, r.method, r.provenance) for r in results]
+
+        assert labels(bfs.mine()) == labels(dfs.mine())
+        assert bfs.stats.degraded_checks == dfs.stats.degraded_checks
+
 
 class TestNaiveMiner:
     @pytest.mark.parametrize("use_topdown", [True, False])
@@ -102,6 +132,19 @@ class TestNaiveMiner:
             # Any disagreement must be a borderline call of the sampler.
             exact = frequent_closed_probability_exact(db, itemset, min_sup)
             assert abs(exact - 0.5) < 0.05
+
+    @pytest.mark.parametrize("database_factory",
+                             [paper_table2_database, paper_table4_database])
+    def test_runs_on_the_configured_tidset_backend(self, database_factory):
+        database = database_factory()
+        oracle_before = database.tidset_engine("tuple").counters()
+        results = {}
+        for backend in ("bitmap", "tuple"):
+            config = MinerConfig(min_sup=2, pfct=0.5, tidset_backend=backend)
+            results[backend] = [r.to_dict() for r in NaiveMiner(database, config).mine()]
+            if backend == "bitmap":
+                assert database.tidset_engine("tuple").counters() == oracle_before
+        assert results["bitmap"] == results["tuple"]
 
     def test_work_scales_with_pfi_count(self, paper_db):
         """MPFCI evaluates far fewer itemsets than Naive on the same input."""

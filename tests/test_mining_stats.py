@@ -33,6 +33,7 @@ from repro.core.database import (
 )
 from repro.core.miner import MPFCIMiner
 from repro.core.stats import MinerStatistics, MiningStats
+from repro.registry import DEGRADATION_POLICIES
 from repro.runtime.supervisor import plan_root_branches
 from tests.conftest import uncertain_databases
 
@@ -131,6 +132,23 @@ class TestAccountingInvariants:
         miner = MPFCIMiner(database, config)
         results = miner.mine()
         assert_invariants(miner.stats)
+        assert miner.stats.results_emitted == len(results)
+
+    @given(
+        uncertain_databases(min_transactions=2, max_transactions=7),
+        st.integers(min_value=1, max_value=3),
+        st.sampled_from(sorted(VARIANT_OVERRIDES)),
+        st.sampled_from(DEGRADATION_POLICIES.names()),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_bfs_on_random_databases(self, database, min_sup, variant, policy):
+        config = MinerConfig(
+            min_sup=min_sup, pfct=0.3, exact_event_limit=64,
+            degradation_policy=policy, **VARIANT_OVERRIDES[variant],
+        )
+        miner = MPFCIBreadthFirstMiner(database, config)
+        results = miner.mine()
+        assert_invariants(miner.stats, breadth_first=True)
         assert miner.stats.results_emitted == len(results)
 
     def test_mine_is_repeatable_and_resets_stats(self):

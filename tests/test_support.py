@@ -214,6 +214,23 @@ class TestLiveBandKernels:
         for index, row in enumerate(rows):
             assert result[index] == frequent_probability(row, min_sup)
 
+    @given(SEEDS)
+    @settings(max_examples=60, deadline=None)
+    def test_padded_batch_matches_scalar_serial(self, seed):
+        """Thresholds 0–24 on rows 0–24 wide, where the serial DP is scalar."""
+        rng = random.Random(seed)
+        min_sup = rng.randint(0, 24)
+        rows = [
+            mixed_probabilities(rng, rng.randint(0, 24))
+            for _ in range(rng.randint(1, 6))
+        ]
+        padded = np.zeros((len(rows), max(map(len, rows))))
+        for index, row in enumerate(rows):
+            padded[index, : len(row)] = row
+        result = frequent_probability_padded_batch(padded, min_sup)
+        for index, row in enumerate(rows):
+            assert result[index] == frequent_probability(row, min_sup)
+
     @pytest.mark.parametrize("extents", [(0,), (10,), (10, 60), (99, 1, 50)])
     def test_rows_shorter_than_min_sup_are_exactly_zero(self, extents):
         padded = np.zeros((len(extents), max(extents) + 1))

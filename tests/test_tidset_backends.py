@@ -28,7 +28,6 @@ from repro.core.database import (
 from repro.core.miner import MPFCIMiner
 from repro.core.support import (
     frequent_probability,
-    frequent_probability_masked_batch,
     sample_conditional_presence,
     sample_conditional_presence_batch,
     tail_probability_table,
@@ -172,27 +171,6 @@ class TestPackedWords:
 # batched kernels are bit-exact against their serial references
 # ----------------------------------------------------------------------
 class TestBatchedKernels:
-    @given(st.integers(min_value=0, max_value=2**32 - 1))
-    @settings(max_examples=60, deadline=None)
-    def test_masked_batch_dp_matches_serial(self, seed):
-        rng = random.Random(seed)
-        width = rng.randint(1, 24)
-        base = [round(rng.uniform(0.01, 1.0), 4) for _ in range(width)]
-        min_sup = rng.randint(0, width)
-        membership = np.array(
-            [
-                [rng.random() < 0.6 for _ in range(width)]
-                for _ in range(rng.randint(1, 6))
-            ],
-            dtype=bool,
-        )
-        batch = frequent_probability_masked_batch(
-            np.asarray(base), membership, min_sup
-        )
-        for row in range(membership.shape[0]):
-            subset = [p for p, member in zip(base, membership[row]) if member]
-            assert batch[row] == frequent_probability(subset, min_sup)
-
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_batch_sampler_replays_serial_uniform_stream(self, seed):
@@ -490,19 +468,6 @@ class TestEngineAlgebra:
                 assert bitmap.superset_covered(itemset, base_b) == (
                     oracle.superset_covered(itemset, base_t)
                 )
-
-    def test_member_mask_matches_positions(self):
-        database = paper_table2_database()
-        engine = database.tidset_engine("bitmap")
-        base = engine.universe()
-        tidsets = [engine.item_tidset(item) for item in database.items]
-        mask = engine.member_mask(base, tidsets)
-        for row, item in enumerate(database.items):
-            expected = [
-                position in set(database.tidset_of_item(item))
-                for position in range(len(database))
-            ]
-            assert list(mask[row]) == expected
 
     def test_engine_is_cached_per_backend(self):
         database = paper_table2_database()
