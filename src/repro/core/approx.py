@@ -350,7 +350,7 @@ def approx_frequent_closed_probability(
     support_cache: Optional[SupportDPCache] = None,
 ) -> ApproxFCPResult:
     """ApproxFCP (Fig. 2): ``Pr_FC(X) ≈ Pr_F(X) − KL-estimate(Pr_FNC(X))``."""
-    cache = support_cache or SupportDPCache(database, min_sup)
+    cache = support_cache if support_cache is not None else SupportDPCache(database, min_sup)
     frequent = cache.frequent_probability_of_itemset(itemset)
     if frequent <= 0.0:
         return ApproxFCPResult(0.0, 0, 0.0, 0.0)

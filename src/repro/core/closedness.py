@@ -63,7 +63,11 @@ def frequent_closed_probability_exact(
     #P-hard in general (Theorem 3.2); practical when the number of extension
     events is modest.
     """
-    cache = support_cache or SupportDistributionCache(database, min_sup)
+    cache = (
+        support_cache
+        if support_cache is not None
+        else SupportDistributionCache(database, min_sup)
+    )
     frequent = cache.frequent_probability_of_itemset(itemset)
     if frequent <= 0.0:
         return 0.0

@@ -65,11 +65,13 @@ class ExtensionEvent:
 class ExtensionEventSystem:
     """All extension events of one itemset, with conjunction probabilities.
 
-    Only events that can have positive probability are retained: an item
-    whose co-occurrence count with ``X`` is below ``min_sup`` yields
-    ``Pr_F(X + e_i) = 0`` and contributes nothing to the union, so it is
-    dropped up front (this also keeps the FPRAS sample count proportional to
-    the *effective* number of events).
+    Only events of positive probability are retained.  An event whose
+    absent factor is exactly ``0.0`` (a transaction of probability 1 holds
+    ``X`` but not ``e_i``, or the product underflowed) is dropped before its
+    ``Pr_F`` DP runs; one whose ``Pr_F(X + e_i)`` is ``0.0`` (in particular,
+    a co-occurrence count with ``X`` below ``min_sup``) is dropped after.
+    Either way it contributes nothing to the union, and dropping it keeps
+    the FPRAS sample count proportional to the *effective* number of events.
     """
 
     def __init__(
@@ -98,7 +100,13 @@ class ExtensionEventSystem:
         self.base_tidset = (
             engine.tidset_of(self.itemset) if base_tidset is None else base_tidset
         )
-        self._cache = support_cache or SupportDPCache(database, min_sup, engine=engine)
+        # An empty cache is falsy (it has a length), so test for None: a
+        # caller's cache must be used even before its first entry.
+        self._cache = (
+            support_cache
+            if support_cache is not None
+            else SupportDPCache(database, min_sup, engine=engine)
+        )
         # Warm the base tidset's probability tuple; every conjunction query
         # and DP below reads it through the cache.
         self._base_probabilities = self._cache.probabilities_of_tidset(
@@ -128,17 +136,12 @@ class ExtensionEventSystem:
         engine = self._engine
         extended: List[Tuple[Item, Any]]
         if engine.vectorized:
-            # One matrix AND extends the base by every item at once; the
-            # survivors' Pr_F values are then computed as one batched DP.
+            # One matrix AND extends the base by every item at once.
             extended = [
                 (item, with_item)
-                for item, with_item in engine.extend_all_items(base)
-                if item not in item_set and len(with_item) >= self.min_sup
+                for item, with_item in engine.extend_all_items(base, self.min_sup)
+                if item not in item_set
             ]
-            if len(extended) > 1:
-                self._cache.seed_frequent_probabilities(
-                    base, [with_item for _, with_item in extended]
-                )
         else:
             extended = []
             for item in engine.items:
@@ -147,11 +150,16 @@ class ExtensionEventSystem:
                 with_item = engine.intersect(base, engine.item_tidset(item))
                 if len(with_item) >= self.min_sup:
                     extended.append((item, with_item))
-        absent_factors = engine.absent_factors(
-            base, [with_item for _, with_item in extended]
-        )
+        tidsets = [with_item for _, with_item in extended]
+        absent_factors = engine.absent_factors(base, tidsets)
+        if engine.vectorized:
+            self._seed_nonzero(tidsets, absent_factors)
         events: List[ExtensionEvent] = []
         for (item, with_item), absent_factor in zip(extended, absent_factors):
+            # Pr(C_i) = absent factor × Pr_F(X + e_i): a zero factor decides
+            # the event without its DP.
+            if absent_factor == 0.0:
+                continue
             freq = self._cache.frequent_probability_of_tidset(with_item)
             if freq <= 0.0:
                 continue
@@ -164,6 +172,20 @@ class ExtensionEventSystem:
                 )
             )
         return events
+
+    def _seed_nonzero(self, tidsets: Sequence[Any], absent_factors: Sequence[float]) -> None:
+        """One batched ``Pr_F`` DP for the tidsets whose absent factor is not 0.0.
+
+        A zero factor makes the event's or conjunction's probability 0.0
+        whatever its ``Pr_F``, so that DP is never run.  Vectorized engines
+        only; a single survivor is left to the serial DP, which returns the
+        same bits.
+        """
+        nonzero = [
+            tidset for tidset, factor in zip(tidsets, absent_factors) if factor > 0.0
+        ]
+        if len(nonzero) > 1:
+            self._cache.seed_frequent_probabilities(self.base_tidset, nonzero)
 
     # ------------------------------------------------------------------
     # basic properties
@@ -204,17 +226,20 @@ class ExtensionEventSystem:
         if len(tidset) < self.min_sup:
             return 0.0
         absent = self._engine.absent_factor(self.base_tidset, tidset)
+        if absent == 0.0:
+            return 0.0
         return absent * self._cache.frequent_probability_of_tidset(tidset)
 
     def _seed_pairwise(self) -> None:
         """One-time batch fill of the pairwise matrix on vectorized engines.
 
         All ``m·(m−1)/2`` conjunction tidsets come from one stacked matrix
-        AND, every surviving ``Pr_F`` from one batched DP, and every absent
-        factor from one batched gather — value-wise identical to the lazy
-        per-pair path (0.0 below ``min_sup``, the factored formula
-        otherwise).  The values land directly in the symmetric pairwise
-        matrix the bound evaluations bulk-read.
+        AND, every absent factor from one batched gather, and the ``Pr_F``
+        of every conjunction with a nonzero factor from one batched DP —
+        value-wise identical to the lazy per-pair path (0.0 below
+        ``min_sup`` or for a zero factor, the factored formula otherwise).
+        The values land directly in the symmetric pairwise matrix the bound
+        evaluations bulk-read.
         """
         if self._pairwise_seeded:
             return
@@ -226,9 +251,9 @@ class ExtensionEventSystem:
             [event.tidset for event in self.events]
         )
         eligible = [ts for ts in conjunctions if len(ts) >= self.min_sup]
-        if len(eligible) > 1:
-            self._cache.seed_frequent_probabilities(self.base_tidset, eligible)
-        absent_factors = iter(engine.absent_factors(self.base_tidset, eligible))
+        eligible_factors = engine.absent_factors(self.base_tidset, eligible)
+        self._seed_nonzero(eligible, eligible_factors)
+        absent_factors = iter(eligible_factors)
         count = len(self.events)
         frequent = self._cache.frequent_probability_of_tidset
         matrix = np.empty((count, count))
@@ -239,10 +264,11 @@ class ExtensionEventSystem:
             for second in range(first + 1, count):
                 tidset = conjunctions[index]
                 index += 1
-                if len(tidset) < self.min_sup:
-                    value = 0.0
-                else:
-                    value = next(absent_factors) * frequent(tidset)
+                value = 0.0
+                if len(tidset) >= self.min_sup:
+                    absent = next(absent_factors)
+                    if absent > 0.0:
+                        value = absent * frequent(tidset)
                 matrix[first, second] = matrix[second, first] = value
         self._pairwise_matrix = matrix
 
@@ -312,11 +338,14 @@ class ExtensionEventSystem:
         below ``min_sup`` (every further conjunction there is 0), which makes
         it practical for the small event counts the miner feeds it.
 
+        A conjunction whose absent factor is exactly ``0.0`` has a ``0.0``
+        term, which ends its branch, so its ``Pr_F`` is never computed.
+
         On vectorized engines every expansion node is *frontier-batched*:
         the node's surviving sibling conjunctions come from one
-        ``intersect_many`` (one matrix AND), their ``Pr_F`` values from one
-        padded batched support DP,
-        and their absent factors from one stacked gather.  The terms are
+        ``intersect_many`` (one matrix AND), their absent factors from one
+        stacked gather, and the ``Pr_F`` values of those with a nonzero
+        factor from one padded batched support DP.  The terms are
         then accumulated in the exact order the serial recursion would have
         produced them — same IEEE-754 additions in the same sequence — so
         the batched and serial paths return bit-identical totals.
@@ -341,17 +370,16 @@ class ExtensionEventSystem:
                 ]
                 if not survivors:
                     return
-                if len(survivors) > 1:
-                    cache.seed_frequent_probabilities(self.base_tidset, survivors)
-                absent_factors = iter(
-                    engine.absent_factors(self.base_tidset, survivors)
-                )
+                survivor_factors = engine.absent_factors(self.base_tidset, survivors)
+                self._seed_nonzero(survivors, survivor_factors)
+                absent_factors = iter(survivor_factors)
                 for offset, intersection in enumerate(intersections):
                     if len(intersection) < min_sup:
                         continue
-                    term = next(absent_factors) * cache.frequent_probability_of_tidset(
-                        intersection
-                    )
+                    absent = next(absent_factors)
+                    if absent == 0.0:
+                        continue
+                    term = absent * cache.frequent_probability_of_tidset(intersection)
                     if term > 0.0:
                         total += term if depth % 2 == 0 else -term
                         recurse_batched(start + offset + 1, intersection, depth + 1)

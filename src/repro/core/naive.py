@@ -46,10 +46,12 @@ class NaiveMiner:
         started = time.perf_counter()
         self.stats = MinerStatistics()
         rng = random.Random(self.config.seed)
+        engine = self.database.tidset_engine(self.config.tidset_backend)
+        engine_before = engine.counters()
         cache = SupportDPCache(
             self.database, self.config.min_sup,
             max_entries=self.config.dp_cache_size,
-            engine=self.database.tidset_engine(self.config.tidset_backend),
+            engine=engine,
         )
 
         miner = (
@@ -89,4 +91,8 @@ class NaiveMiner:
         results.sort(key=lambda result: (len(result.itemset), result.itemset))
         self.stats.results_emitted = len(results)
         self.stats.elapsed_seconds = time.perf_counter() - started
+        # The engine is shared per database, so record this run's delta.
+        for name, value in engine.counters().items():
+            setattr(self.stats, name, value - engine_before[name])
+        cache.apply_to(self.stats)
         return results

@@ -209,6 +209,7 @@ def frequent_probability(probabilities: Sequence[float], min_sup: int) -> float:
     in-place update; both perform the identical transition in the identical
     order, so the two paths agree bit-for-bit with the reference
     implementation (property-tested in ``tests/test_support_cache.py``).
+    The result is clamped to ``<= 1.0`` (see :func:`_capped_dp_state`).
     """
     if min_sup <= 0:
         return 1.0
@@ -230,6 +231,10 @@ def _capped_dp_state(
     ``cap`` rows have been seen: the cells it skips would have been
     rewritten to the 0.0 they already hold, and the cap refund it skips
     adds ``0.0 * p``.  From row ``cap`` on it runs the full-width update.
+
+    The absorbed cap cell sums many rounded products and can overshoot 1.0
+    by a few ulps, so it is clamped to 1.0 on the way out: every ``Pr_F``
+    the kernels report is a probability.
     """
     if cap <= _SCALAR_DP_CAP:
         scalar = [0.0] * (cap + 1)
@@ -245,6 +250,7 @@ def _capped_dp_state(
             # The sequential recurrence IS the exactness contract here.
             # prolint: ignore[FSUM-REDUCE] DP transition on a cell, not a reduction
             scalar[cap] += cap_mass * probability
+        scalar[cap] = min(scalar[cap], 1.0)
         return scalar
     state = np.zeros(cap + 1)
     state[0] = 1.0
@@ -261,6 +267,7 @@ def _capped_dp_state(
         # is present, so add back the part the generic transition dropped.
         # prolint: ignore[FSUM-REDUCE] DP transition, not a reduction.
         state[cap] += cap_mass * probability
+    state[cap] = min(state[cap], 1.0)
     return state
 
 
@@ -341,7 +348,8 @@ def frequent_probability_padded_batch(
     ``columns × (min_sup + 1)`` cells.
 
     Bit-exactness contract: ``result[s] == frequent_probability(row s's
-    nonzero prefix, min_sup)`` exactly (the backend-parity tests assert
+    nonzero prefix, min_sup)`` exactly, the ``<= 1.0`` clamp included
+    (the backend-parity tests assert
     ``==``, not ``approx``), which is what lets the bitmap tidset engine
     seed the support-DP cache in bulk without perturbing any pruning
     decision.
@@ -411,12 +419,15 @@ def frequent_probability_padded_batch(
         state, buffer = buffer, state
     finished[:active] = state[:active, min_sup]
     result = np.empty(batch)
-    result[order] = finished
+    result[order] = np.minimum(finished, 1.0)
     return result
 
 
 def frequent_probability_python(probabilities: Sequence[float], min_sup: int) -> float:
-    """Pure-Python reference implementation of :func:`frequent_probability`."""
+    """Pure-Python reference implementation of :func:`frequent_probability`.
+
+    Clamped to ``<= 1.0`` like the other kernels.
+    """
     if min_sup <= 0:
         return 1.0
     if min_sup > len(probabilities):
@@ -437,7 +448,7 @@ def frequent_probability_python(probabilities: Sequence[float], min_sup: int) ->
                 # prolint: ignore[FSUM-REDUCE] DP transition, not a reduction
                 next_state[count + 1] += mass * probability
         state = next_state
-    return state[min_sup]
+    return min(state[min_sup], 1.0)
 
 
 def tail_probability_table(probabilities: Sequence[float], min_sup: int) -> FloatArray:

@@ -499,17 +499,26 @@ class BitmapTidsetEngine(_EngineCounters):
         ]
 
     def extend_all_items(
-        self, base: BitmapTidset
+        self, base: BitmapTidset, min_count: int = 0
     ) -> List[Tuple[Item, BitmapTidset]]:
-        """``(item, base ∧ tidset(item))`` for every item, canonical order."""
+        """``(item, base ∧ tidset(item))`` for every item whose extension
+        holds at least ``min_count`` transactions, in canonical order.
+
+        The count filter runs on the row popcounts, and the surviving rows
+        are copied out of the ``items × words`` AND result, so the tidsets
+        a caller keeps (e.g. as support-DP cache keys) do not pin the rows
+        that were filtered out.
+        """
         intersected = self._matrix & base.words
         counts = _popcount_rows(intersected)
         self.intersections += len(self._items)
         self.words_anded += len(self._items) * self._n_words
         self.popcounts += len(self._items)
+        rows = np.flatnonzero(counts >= min_count)
+        kept = intersected[rows]
         return [
-            (item, BitmapTidset(intersected[row], self._offset, count=int(counts[row])))
-            for row, item in enumerate(self._items)
+            (self._items[row], BitmapTidset(kept[index], self._offset, count=int(counts[row])))
+            for index, row in enumerate(rows.tolist())
         ]
 
     def pairwise_conjunctions(
@@ -571,24 +580,22 @@ class BitmapTidsetEngine(_EngineCounters):
     ) -> List[float]:
         """:meth:`absent_factor` for every kept tidset, one stacked pass.
 
-        The difference masks come from one matrix AND and one ``unpackbits``;
-        each row's product multiplies the full-width factor row where
-        non-difference columns hold exactly 1.0.  ``x * 1.0`` is an IEEE-754
-        identity, and ``np.multiply.reduce`` runs strictly left to right, so
-        every row equals the serial :meth:`absent_factor` bit-for-bit.
+        The difference masks come from one matrix AND.  Only the base's
+        set-bit columns can be in a difference, so each row's product runs
+        over those columns alone, ascending, with 1.0 where the kept tidset
+        has the bit.  ``x * 1.0`` is an IEEE-754 identity, and
+        ``np.multiply.reduce`` runs strictly left to right, so every row
+        equals the serial :meth:`absent_factor` bit-for-bit.
         """
         if not kept_list:
             return []
         stacked = np.stack([kept.words for kept in kept_list])
         differences = base.words & ~stacked
         self.words_anded += len(kept_list) * self._n_words
-        if differences.shape[1] == 0:
-            return [1.0] * len(kept_list)
-        bits = np.unpackbits(
-            differences.view(np.uint8), axis=1, bitorder="little"
-        ).astype(bool)
+        columns = base.bit_index_array()
+        bits = (differences[:, columns >> 6] >> (columns & 63).astype(np.uint64)) & 1
         self.gathers += len(kept_list)
-        factors = np.where(bits, 1.0 - self._prob[np.newaxis, : bits.shape[1]], 1.0)
+        factors = np.where(bits.astype(bool), 1.0 - self._prob[columns], 1.0)
         return np.multiply.reduce(factors, axis=1).tolist()
 
     def superset_covered(self, itemset: Itemset, tidset: BitmapTidset) -> bool:

@@ -7,7 +7,7 @@ root branch — its rank, branch item, serialized
 :class:`~repro.core.miner.ProbabilisticFrequentClosedItemset` list, and the
 branch's :class:`~repro.core.stats.MiningStats` delta::
 
-    {"kind": "header", "format": 1, "fingerprint": {...}}
+    {"kind": "header", "format": 2, "fingerprint": {...}}
     {"kind": "branch", "rank": 0, "item": "a", "results": [...], "stats": {...}}
     {"kind": "branch", "rank": 3, "item": "d", "results": [...], "stats": {...}}
 
@@ -97,7 +97,10 @@ __all__ = [
     "validate_fingerprint",
 ]
 
-FORMAT_VERSION = 1
+# Bumped whenever a code change moves result bits, so checkpoints and
+# service-cache entries of the old code stop matching (2: Pr_F clamped to 1,
+# zero-probability events dropped before their DP).
+FORMAT_VERSION = 2
 
 PathLike = Union[str, Path]
 

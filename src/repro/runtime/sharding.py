@@ -633,14 +633,8 @@ def _degrade_result(
     probabilities = [surviving_db.probability_of(position) for position in tidset]
     expected = math.fsum(probabilities)
     relaxed = min_sup - lost_transactions
-    # Both DPs can exceed 1.0 by accumulated rounding; a probability bound
-    # must stay a probability.
-    lower = min(1.0, result.frequent_probability)
-    upper = (
-        1.0
-        if relaxed <= 0
-        else min(1.0, frequent_probability(probabilities, relaxed))
-    )
+    lower = result.frequent_probability
+    upper = 1.0 if relaxed <= 0 else frequent_probability(probabilities, relaxed)
     return replace(
         result,
         provenance="shard-degraded",

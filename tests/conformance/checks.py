@@ -50,6 +50,24 @@ def assert_identical_results(actual: Sequence[Any], expected: Sequence[Any]) -> 
             )
 
 
+def assert_results_in_unit_interval(results: Sequence[Any]) -> None:
+    """Every emitted probability is a probability.
+
+    ``0 <= lower <= probability <= upper <= 1`` and
+    ``0 <= frequent_probability <= 1`` on every result, whichever path
+    (trivial, bound, exact, sampled) decided it.
+    """
+    for result in results:
+        assert 0.0 <= result.lower <= result.probability <= result.upper <= 1.0, (
+            f"interval out of order or out of [0, 1] on {result.itemset}: "
+            f"{result.lower!r} <= {result.probability!r} <= {result.upper!r}"
+        )
+        assert 0.0 <= result.frequent_probability <= 1.0, (
+            f"frequent_probability {result.frequent_probability!r} outside [0, 1] "
+            f"on {result.itemset}"
+        )
+
+
 def assert_engine_algebra_matches_oracle(
     database: UncertainDatabase, backend: str
 ) -> None:

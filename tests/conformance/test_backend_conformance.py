@@ -17,13 +17,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.config import MinerConfig
-from repro.core.database import paper_table2_database
+from repro.core.database import UncertainDatabase, paper_table2_database
 from repro.runtime import resume, run_supervised
 from tests.strategies import random_uncertain_database, uncertain_databases
 
 from .checks import (
     assert_backend_conforms,
     assert_identical_results,
+    assert_results_in_unit_interval,
     mine_with_backend,
 )
 
@@ -54,6 +55,37 @@ def test_parity_survives_disabled_pruning(tidset_backend, data):
         use_chernoff_pruning=False,
         use_probability_bounds=False,
     )
+
+
+# ----------------------------------------------------------------------
+# probability range
+# ----------------------------------------------------------------------
+def near_certain_database(seed: int):
+    """20–80 rows over seven items, each row present with probability 0.6–1.
+
+    Supports with many likely rows have ``Pr_F`` close to 1, where the
+    DP's absorbed cap cell used to round above 1.0 (seeds 2 and 5 here).
+    """
+    rng = random.Random(seed)
+    items = "abcdefg"
+    rows = [
+        (
+            f"T{index}",
+            "".join(rng.sample(items, rng.randint(1, len(items)))),
+            round(rng.uniform(0.6, 1.0), 3),
+        )
+        for index in range(rng.randint(20, 80))
+    ]
+    database = UncertainDatabase.from_rows(rows)
+    return database, rng.randint(1, max(1, len(database) // 2))
+
+
+def test_results_stay_in_the_unit_interval(tidset_backend):
+    for seed in range(10):
+        database, min_sup = near_certain_database(seed)
+        results = mine_with_backend(database, tidset_backend, min_sup=min_sup, pfct=0.5)
+        assert results, seed
+        assert_results_in_unit_interval(results)
 
 
 # ----------------------------------------------------------------------

@@ -146,6 +146,12 @@ class TestNaiveMiner:
                 assert database.tidset_engine("tuple").counters() == oracle_before
         assert results["bitmap"] == results["tuple"]
 
+    def test_reports_dp_and_engine_counters(self, paper_db):
+        miner = NaiveMiner(paper_db, MinerConfig(min_sup=2, pfct=0.8))
+        miner.mine()
+        assert miner.stats.dp_requests > 0
+        assert miner.stats.tidset_intersections > 0
+
     def test_work_scales_with_pfi_count(self, paper_db):
         """MPFCI evaluates far fewer itemsets than Naive on the same input."""
         config = MinerConfig(min_sup=2, pfct=0.8)

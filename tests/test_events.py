@@ -5,9 +5,12 @@ against a direct possible-world computation of the event semantics:
 ``C_i = { w : support_w(X+e_i) = support_w(X) >= min_sup }``.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.database import UncertainDatabase
 from repro.core.events import ExtensionEventSystem
 from repro.core.itemsets import canonical
 from repro.core.possible_worlds import enumerate_worlds, world_support
@@ -135,3 +138,77 @@ class TestUnionProbability:
         assert events.union_probability_exact() <= sum(
             events.singleton_probabilities
         ) + 1e-12
+
+
+class TestZeroAbsentFactor:
+    """An event whose absent factor is exactly 0.0 never runs its DP."""
+
+    @pytest.fixture
+    def database(self):
+        # Base "a" holds all four rows.  T2 (probability 1) lacks "b", so
+        # b's absent factor is 1 - 1.0 = 0.0; c's is 1 - 0.7 (T3 lacks "c").
+        return UncertainDatabase.from_rows(
+            [
+                ("T0", "abc", 0.9),
+                ("T1", "abc", 0.8),
+                ("T2", "ac", 1.0),
+                ("T3", "ab", 0.7),
+            ]
+        )
+
+    @pytest.mark.parametrize("backend", ["tuple", "bitmap"])
+    def test_zero_factor_event_is_dropped_before_its_dp(self, database, backend):
+        events = ExtensionEventSystem(
+            database, "a", min_sup=2, engine=database.tidset_engine(backend)
+        )
+        assert [event.item for event in events.events] == ["c"]
+        assert events.events[0].absent_factor == 1.0 - 0.7
+        # One DP, for c alone: b's Pr_F was never computed.
+        assert events.support_cache.dp_invocations == 1
+        assert oracle_conjunction(database, "a", ["b"], 2) == 0.0
+        oracle = oracle_conjunction(database, "a", ["c"], 2)
+        assert events.union_probability_exact() == pytest.approx(oracle, abs=1e-12)
+
+    @given(
+        uncertain_databases(max_transactions=7, max_items=5, allow_certain=True),
+        st.integers(min_value=1, max_value=3),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_conjunctions_match_tuple_engine_and_oracle(self, db, min_sup):
+        itemset = (db.items[0],)
+        systems = {
+            backend: ExtensionEventSystem(
+                db, itemset, min_sup, engine=db.tidset_engine(backend)
+            )
+            for backend in ("tuple", "bitmap")
+        }
+        tuple_events, bitmap_events = systems["tuple"], systems["bitmap"]
+        assert [(e.item, e.absent_factor, e.frequent_probability)
+                for e in bitmap_events.events] == [
+            (e.item, e.absent_factor, e.frequent_probability)
+            for e in tuple_events.events
+        ]
+        matrix = bitmap_events.pairwise_matrix()
+        assert np.array_equal(matrix, tuple_events.pairwise_matrix())
+        union = bitmap_events.union_probability_exact()
+        assert union == tuple_events.union_probability_exact()
+
+        items = [event.item for event in bitmap_events.events]
+        for first in range(len(items)):
+            for second in range(first, len(items)):
+                oracle = oracle_conjunction(
+                    db, itemset, [items[first], items[second]], min_sup
+                )
+                assert matrix[first, second] == pytest.approx(oracle, abs=1e-12)
+        oracle_union = 0.0
+        for world, probability in enumerate_worlds(db):
+            base_support = world_support(db, world, itemset)
+            if base_support < min_sup:
+                continue
+            if any(
+                world_support(db, world, canonical(itemset + (item,))) == base_support
+                for item in db.items
+                if item not in itemset
+            ):
+                oracle_union += probability
+        assert union == pytest.approx(oracle_union, abs=1e-12)

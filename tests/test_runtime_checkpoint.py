@@ -28,9 +28,12 @@ from repro.runtime import (
     run_supervised,
     validate_fingerprint,
 )
+from repro.runtime import checkpoint as checkpoint_module
 from repro.runtime.checkpoint import (
+    FORMAT_VERSION,
     CheckpointWriter,
     deserialize_result,
+    fingerprint,
     serialize_result,
 )
 
@@ -220,6 +223,26 @@ class TestResume:
         smaller = UncertainDatabase(list(database)[:-1])
         with pytest.raises(CheckpointMismatchError, match="database_sha256"):
             resume(smaller, config, path)
+
+    def test_resume_refuses_an_older_format(self, tmp_path, database, config):
+        """A checkpoint written by code whose results differ is not replayed."""
+        path = tmp_path / "run.ckpt"
+        run_supervised(database, config, processes=2, checkpoint_path=path)
+        lines = path.read_text().splitlines(keepends=True)
+        header = json.loads(lines[0])
+        header["format"] = FORMAT_VERSION - 1
+        header["fingerprint"]["format"] = FORMAT_VERSION - 1
+        path.write_text(json.dumps(header) + "\n" + "".join(lines[1:]))
+        with pytest.raises(CheckpointError, match="format"):
+            resume(database, config, path, processes=2)
+
+    def test_fingerprint_covers_the_format_version(
+        self, monkeypatch, database, config
+    ):
+        """Service-cache keys move with the format, so no stale answer is served."""
+        current = fingerprint(database, config)
+        monkeypatch.setattr(checkpoint_module, "FORMAT_VERSION", FORMAT_VERSION - 1)
+        assert fingerprint(database, config) != current
 
     def test_validate_fingerprint_names_first_difference(self, database, config):
         fingerprint = config_fingerprint(database, config)
