@@ -7,13 +7,14 @@ both on a 500-transaction quest-style window with single-transaction slides:
   maintained result set equals re-mining the window snapshot from scratch,
   field for field (itemsets, probabilities, bounds, methods);
 * **speed** — a slide costs at least 3x less than a scratch re-mine,
-  because branch-local screening re-mines only the touched subtrees and the
-  support PMFs are maintained by O(n) convolution peeling instead of the
-  O(n^2) full DP.
+  because only the touched items are screened (by the batch miner's own
+  candidate filter on the window snapshot) and only the surviving touched
+  branches are re-mined, on a support-DP cache whose probability-keyed
+  memo carries DP values across slides.
 
 The slide-level work counters (branches re-mined / retained / screened out,
-incremental vs full PMF updates) land in ``extra_info`` alongside the
-wall-clock rows.
+DP invocations and cross-generation hits) land in ``extra_info`` alongside
+the wall-clock rows.
 """
 
 import time
@@ -80,7 +81,6 @@ def test_incremental_slides_match_scratch_and_win(benchmark):
     # Verification arm: replay again, re-mining every window from scratch
     # (timing only the scratch mines) and asserting exact equality.
     monitor = prefilled_monitor(rows)
-    bootstrap_rebuilds = monitor.stats.pmf_full_rebuilds
     scratch_seconds = 0.0
     for transaction in rows[WINDOW:]:
         monitor.slide(transaction)
@@ -109,9 +109,7 @@ def test_incremental_slides_match_scratch_and_win(benchmark):
     assert scratch_per_slide >= 3.0 * incremental_per_slide, benchmark.extra_info
 
     # The work counters must show the claimed mechanisms actually firing:
-    # most branches survive slides untouched, and slide-time PMF maintenance
-    # is overwhelmingly incremental (full rebuilds besides the bootstrap
-    # ones only happen on stability fallbacks / periodic refreshes).
+    # most branches survive slides untouched, and DP values computed in
+    # earlier window generations are reused after positions renumber.
     assert stats.branches_retained > stats.branches_remined, stats.report()
-    slide_rebuilds = stats.pmf_full_rebuilds - bootstrap_rebuilds
-    assert stats.pmf_incremental_updates > 5 * max(slide_rebuilds, 1), stats.report()
+    assert stats.dp_cross_generation_hits > 0, stats.report()

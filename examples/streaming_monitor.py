@@ -5,9 +5,9 @@ is a *set* of sources that fired together, and the whole event is genuine
 only with the classifier's confidence.  The question "which source
 combinations are probably firing together at least N times in the last W
 events?" is sliding-window PFCI mining, handled incrementally by
-:class:`repro.streaming.PFCIMonitor`: per slide it screens which result
-branches a new event can possibly affect (Chernoff–Hoeffding over
-incrementally maintained expected supports), re-mines only those, and
+:class:`repro.streaming.PFCIMonitor`: per slide it screens the result
+branches a new event can possibly affect (the batch miner's own candidate
+filters on the sources the event touched), re-mines only those, and
 reports the result changes as ``(added, removed, retained)`` deltas.
 
 The script replays a synthetic day of traffic with a planted attack wave —
@@ -91,8 +91,8 @@ def main() -> None:
           f"{stats.branches_remined} branches re-mined, "
           f"{stats.branches_retained} retained verbatim, "
           f"{stats.branches_screened_out} screened out; "
-          f"PMF updates {stats.pmf_incremental_updates} incremental / "
-          f"{stats.pmf_full_rebuilds} full rebuilds")
+          f"{stats.dp_invocations} support DPs run, "
+          f"{stats.dp_cross_generation_hits} reused across slides")
 
 
 if __name__ == "__main__":

@@ -218,10 +218,6 @@ def _add_stream_mine_parser(subparsers) -> None:
         help="print a delta summary every K slides (default: only changes)",
     )
     parser.add_argument(
-        "--refresh-interval", type=int, default=64, metavar="K",
-        help="force a full support-PMF rebuild after K incremental updates",
-    )
-    parser.add_argument(
         "--tidset-backend",
         choices=TIDSET_BACKENDS.names(),
         default="bitmap",
@@ -563,6 +559,10 @@ def _command_stream_mine(args: argparse.Namespace) -> int:
         return _error(str(error))
     if args.window < 1:
         return _error("--window must be >= 1")
+    if args.max_slides is not None and args.max_slides < 1:
+        return _error("--max-slides must be >= 1")
+    if args.report_every is not None and args.report_every < 1:
+        return _error("--report-every must be >= 1")
     try:
         if args.min_sup is not None:
             config = MinerConfig(
@@ -586,9 +586,7 @@ def _command_stream_mine(args: argparse.Namespace) -> int:
         config = config.variant(tidset_backend=args.tidset_backend)
     except ValueError as error:
         return _error(str(error))
-    monitor = PFCIMonitor(
-        config, window=args.window, refresh_interval=args.refresh_interval
-    )
+    monitor = PFCIMonitor(config, window=args.window)
     transactions = list(database)
     if args.max_slides is not None:
         transactions = transactions[: args.max_slides]

@@ -245,6 +245,9 @@ class SupportDPCache:
         return value
 
     def frequent_probability_of_itemset(self, itemset: Itemset) -> float:
+        """``Pr_F`` of the itemset, its tidset from the bound engine."""
+        if self._engine is not None:
+            return self.frequent_probability_of_tidset(self._engine.tidset_of(itemset))
         return self.frequent_probability_of_tidset(self._database.tidset(itemset))
 
     def seed_frequent_probabilities(

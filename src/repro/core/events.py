@@ -361,12 +361,12 @@ class ExtensionEventSystem:
             def recurse_batched(start: int, tidset: Any, depth: int) -> None:
                 nonlocal total
                 intersections = engine.intersect_many(
-                    tidset, [event.tidset for event in events[start:]]
+                    tidset, [event.tidset for event in events[start:]], min_sup
                 )
                 survivors = [
                     intersection
                     for intersection in intersections
-                    if len(intersection) >= min_sup
+                    if intersection is not None
                 ]
                 if not survivors:
                     return
@@ -374,7 +374,7 @@ class ExtensionEventSystem:
                 self._seed_nonzero(survivors, survivor_factors)
                 absent_factors = iter(survivor_factors)
                 for offset, intersection in enumerate(intersections):
-                    if len(intersection) < min_sup:
+                    if intersection is None:
                         continue
                     absent = next(absent_factors)
                     if absent == 0.0:

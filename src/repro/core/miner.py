@@ -33,7 +33,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..registry import DEGRADATION_POLICIES
 from .approx import approx_union_probability
@@ -76,7 +76,8 @@ class ProbabilisticFrequentClosedItemset:
             bound computed from the surviving shards only.
         frequency_bounds: certified ``[lower, upper]`` interval on ``Pr_F``
             under shard loss; only set with ``"shard-degraded"``
-            provenance, where ``frequent_probability`` holds the lower end.
+            provenance, where ``frequent_probability`` holds the surviving
+            rows' value (the lower end before its rounding margin).
         support_bounds: certified ``[lower, upper]`` interval on the
             itemset's *expected support* under shard loss; only set with
             ``"shard-degraded"`` provenance (each lost shard can contribute
@@ -267,25 +268,35 @@ class MPFCIMiner:
     # ------------------------------------------------------------------
     # phase 1: single-item candidates
     # ------------------------------------------------------------------
-    def candidate_items(self) -> List[Item]:
+    def candidate_items(self, items: Optional[Iterable[Item]] = None) -> List[Item]:
         """Phase 1: the items that survive the frequency filters, in item order.
 
         The root branches of the DFS are exactly these items, which is how
         the supervised runtime plans its branch split
-        (:func:`repro.runtime.supervisor.plan_root_branches`).  The call
-        counts its own time (``candidate_phase_seconds``), the cache
-        counters and the tidset engine's work into ``self.stats``.
+        (:func:`repro.runtime.supervisor.plan_root_branches`).  ``items``
+        screens only that subset of the database's items (the streaming
+        monitor passes the items a slide touched); the decision for each
+        item is the one the full screen makes.  The call counts its own
+        time (``candidate_phase_seconds``), the cache counters and the
+        tidset engine's work into ``self.stats``.
         """
         started = time.perf_counter()
         engine_before = self._engine.counters()
-        items = self._engine.items
-        if self._engine.vectorized and len(items) > 1:
-            self._seed_extensions(
-                self._engine.universe(),
-                [self._item_tidsets[item] for item in items],
-            )
+        screened: Sequence[Item] = self._engine.items
+        if items is None:
+            if self._engine.vectorized and len(screened) > 1:
+                self._seed_extensions(
+                    self._engine.universe(),
+                    [self._item_tidsets[item] for item in screened],
+                )
+        else:
+            # A subset is a slide's few touched items: their DPs run one by
+            # one, because the padded batch's per-column cost outweighs a
+            # handful of serial DPs.
+            subset = set(items)
+            screened = [item for item in screened if item in subset]
         candidates: List[Item] = []
-        for item in items:
+        for item in screened:
             tidset = self._item_tidsets[item]
             if not self._passes_frequency_pruning(tidset):
                 continue
@@ -342,12 +353,17 @@ class MPFCIMiner:
         )
         prepared = None
         if self._engine.vectorized and len(remaining) > 1:
-            # One matrix AND yields every same-level extension tidset; the
-            # survivors' Pr_F values are then seeded as one batched DP.
+            # One matrix AND yields every same-level extension tidset that
+            # reaches min_sup (None for the rest); the survivors' Pr_F
+            # values are then seeded as one batched DP.
             prepared = self._engine.intersect_many(
-                tidset, [self._item_tidsets[item] for item in remaining]
+                tidset,
+                [self._item_tidsets[item] for item in remaining],
+                self.config.min_sup,
             )
-            self._seed_extensions(tidset, prepared)
+            self._seed_extensions(
+                tidset, [extended for extended in prepared if extended is not None]
+            )
         position = 0
         while position < len(remaining):
             item = remaining[position]
@@ -358,6 +374,9 @@ class MPFCIMiner:
             )
             position += 1
             self.stats.candidates_generated += 1
+            if extended_tidset is None:
+                self.stats.pruned_by_count += 1
+                continue
             if not self._passes_frequency_pruning(extended_tidset):
                 continue
             subset_prune_fires = (

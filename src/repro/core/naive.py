@@ -60,7 +60,8 @@ class NaiveMiner:
             else mine_probabilistic_frequent_itemsets
         )
         frequent_itemsets = miner(
-            self.database, self.config.min_sup, self.config.pfct
+            self.database, self.config.min_sup, self.config.pfct,
+            support_cache=cache,
         )
         self.stats.candidates_generated = len(frequent_itemsets)
 

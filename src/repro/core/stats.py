@@ -96,8 +96,6 @@ class MiningStats:
     branches_retained: int = 0
     branches_remined: int = 0
     branches_screened_out: int = 0
-    pmf_incremental_updates: int = 0
-    pmf_full_rebuilds: int = 0
     # --- supervised parallel runtime (repro.runtime.supervisor) ---------
     branches_dispatched: int = 0
     branch_retries: int = 0
@@ -164,17 +162,6 @@ class MiningStats:
         """Fraction of ``Pr_F`` requests served from cache (0 when idle)."""
         requests = self.dp_requests
         return self.dp_cache_hits / requests if requests else 0.0
-
-    @property
-    def pmf_updates(self) -> int:
-        """Total window-PMF maintenance operations (incremental + full)."""
-        return self.pmf_incremental_updates + self.pmf_full_rebuilds
-
-    @property
-    def pmf_incremental_fraction(self) -> float:
-        """Fraction of window-PMF updates served by O(n) convolution peeling."""
-        updates = self.pmf_updates
-        return self.pmf_incremental_updates / updates if updates else 0.0
 
     @property
     def degraded_fraction(self) -> float:
@@ -248,8 +235,6 @@ class MiningStats:
                 "fcp_evaluations": self.fcp_evaluations,
                 "total_pruned": self.total_pruned,
                 "check_outcomes": self.check_outcomes,
-                "pmf_updates": self.pmf_updates,
-                "pmf_incremental_fraction": round(self.pmf_incremental_fraction, 6),
                 "degraded_fraction": round(self.degraded_fraction, 6),
             },
             "runtime": {

@@ -35,10 +35,7 @@ __all__ = [
     "frequent_probability_padded_batch",
     "sample_conditional_presence_batch",
     "support_pmf",
-    "pmf_add",
-    "pmf_remove",
     "pmf_tail_convolve",
-    "PMFStabilityError",
     "expected_support",
     "support_variance",
     "tail_probability_table",
@@ -85,111 +82,6 @@ def support_pmf(probabilities: Sequence[float]) -> FloatArray:
         )
         pmf[0] *= 1.0 - probability
     return pmf
-
-
-class PMFStabilityError(ArithmeticError):
-    """Raised when :func:`pmf_remove` cannot deconvolve a PMF stably.
-
-    Deconvolution peels one Bernoulli factor off a Poisson-binomial PMF by
-    running the convolution recurrence backwards; when the peeled probability
-    sits near the unstable end of the chosen recurrence direction, rounding
-    error can amplify geometrically.  Callers maintaining a window PMF
-    incrementally catch this and fall back to a full :func:`support_pmf`
-    recompute from the window's probabilities.
-    """
-
-
-def pmf_add(pmf: Sequence[float], probability: float) -> FloatArray:
-    """Convolve a support PMF with one more Bernoulli(``probability``) row.
-
-    The forward update of the :func:`support_pmf` DP, exposed as a single
-    O(k) step so sliding-window maintainers can extend a PMF when a
-    transaction enters the window instead of re-running the whole quadratic
-    DP.  Returns a new array of length ``len(pmf) + 1``.
-
-    >>> base = support_pmf([0.5, 0.8])
-    >>> bool(np.allclose(pmf_add(base, 0.3), support_pmf([0.5, 0.8, 0.3])))
-    True
-    """
-    if not 0.0 <= probability <= 1.0:
-        raise ValueError(f"probability out of range [0, 1]: {probability}")
-    masses = np.asarray(pmf, dtype=float)
-    out = np.zeros(len(masses) + 1)
-    out[:-1] = masses * (1.0 - probability)
-    out[1:] += masses * probability
-    return out
-
-
-# Tolerances of the pmf_remove stability check: individual masses may stray
-# this far outside [0, 1] before the deconvolution is declared unstable, and
-# the recovered PMF must still sum to 1 within _PMF_SUM_TOLERANCE.
-_PMF_MASS_TOLERANCE = 1e-9
-_PMF_SUM_TOLERANCE = 1e-6
-
-
-def pmf_remove(pmf: Sequence[float], probability: float) -> FloatArray:
-    """Peel one Bernoulli(``probability``) row back off a support PMF.
-
-    Inverse of :func:`pmf_add`: given the PMF of ``k`` independent rows, one
-    of which has the given probability, recover the PMF of the other
-    ``k - 1`` in O(k) — the backbone of incremental window maintenance when
-    a transaction is evicted.
-
-    The deconvolution recurrence runs forward (dividing by ``1 - p``) when
-    ``p <= 0.5`` and backward (dividing by ``p``) otherwise, so the division
-    is always by the larger factor and error amplification stays bounded on
-    well-conditioned inputs.  When rounding still drives a recovered mass
-    outside ``[0, 1]`` or the total off 1 — which happens when ``p`` sits
-    near 1 while low-count mass dominates — :class:`PMFStabilityError` is
-    raised and the caller should recompute via :func:`support_pmf`.
-
-    >>> base = support_pmf([0.5, 0.8])
-    >>> bool(np.allclose(pmf_remove(pmf_add(base, 0.3), 0.3), base))
-    True
-    """
-    if not 0.0 <= probability <= 1.0:
-        raise ValueError(f"probability out of range [0, 1]: {probability}")
-    masses = np.asarray(pmf, dtype=float)
-    if len(masses) < 2:
-        raise ValueError("cannot remove a row from an empty PMF")
-    remaining = len(masses) - 1
-    if probability == 1.0:
-        # A certain row shifts the PMF by exactly one count.
-        if masses[0] > _PMF_MASS_TOLERANCE:
-            raise PMFStabilityError(
-                f"PMF has mass {masses[0]} at support 0 but claims a certain row"
-            )
-        return masses[1:].copy()
-    if probability == 0.0:
-        if masses[-1] > _PMF_MASS_TOLERANCE:
-            raise PMFStabilityError(
-                f"PMF has mass {masses[-1]} at full support but claims a null row"
-            )
-        return masses[:-1].copy()
-    out = np.empty(remaining)
-    if probability <= 0.5:
-        absent = 1.0 - probability
-        out[0] = masses[0] / absent
-        for count in range(1, remaining):
-            out[count] = (masses[count] - probability * out[count - 1]) / absent
-    else:
-        out[remaining - 1] = masses[remaining] / probability
-        for count in range(remaining - 1, 0, -1):
-            out[count - 1] = (
-                masses[count] - (1.0 - probability) * out[count]
-            ) / probability
-    if (
-        not np.isfinite(out).all()
-        or out.min() < -_PMF_MASS_TOLERANCE
-        or out.max() > 1.0 + _PMF_MASS_TOLERANCE
-        or abs(out.sum() - 1.0) > _PMF_SUM_TOLERANCE
-    ):
-        raise PMFStabilityError(
-            f"deconvolving p={probability} left an invalid PMF "
-            f"(min={out.min() if len(out) else 0.0}, sum={out.sum()})"
-        )
-    np.clip(out, 0.0, 1.0, out=out)
-    return out
 
 
 # Below this cap the scalar loop beats vectorized updates: the state vector

@@ -482,9 +482,15 @@ class BitmapTidsetEngine(_EngineCounters):
         return BitmapTidset(words, self._offset, count=_popcount_words(words))
 
     def intersect_many(
-        self, base: BitmapTidset, others: Sequence[BitmapTidset]
-    ) -> List[BitmapTidset]:
-        """``base ∧ other`` for every other, as one matrix AND."""
+        self, base: BitmapTidset, others: Sequence[BitmapTidset], min_count: int = 0
+    ) -> List[Optional[BitmapTidset]]:
+        """``base ∧ other`` for every other, as one matrix AND; ``None``
+        where the intersection holds fewer than ``min_count`` transactions.
+
+        As in :meth:`extend_all_items`, the surviving rows are copied out of
+        the ``others × words`` AND result, so a kept tidset does not pin
+        the rows that were filtered out.
+        """
         if not others:
             return []
         stacked = np.stack([tidset.words for tidset in others])
@@ -493,10 +499,12 @@ class BitmapTidsetEngine(_EngineCounters):
         self.intersections += len(others)
         self.words_anded += len(others) * self._n_words
         self.popcounts += len(others)
-        return [
-            BitmapTidset(intersected[row], self._offset, count=int(counts[row]))
-            for row in range(len(others))
-        ]
+        rows = np.flatnonzero(counts >= min_count)
+        kept = intersected[rows]
+        out: List[Optional[BitmapTidset]] = [None] * len(others)
+        for index, row in enumerate(rows.tolist()):
+            out[row] = BitmapTidset(kept[index], self._offset, count=int(counts[row]))
+        return out
 
     def extend_all_items(
         self, base: BitmapTidset, min_count: int = 0

@@ -15,7 +15,10 @@ Sharded runs (:mod:`repro.runtime.sharding`) interleave two more record
 kinds before the branch records.  A ``shard-scan`` record captures one
 shard's complete per-item scan — for every item, the probabilities of the
 shard's transactions containing it, in row order — which is everything the
-merge phase needs, so a finished shard is never re-read on resume::
+merge phase needs, so a resumed run does not scan a finished shard again.
+The mining phase still loads every surviving shard's rows, so a shard whose
+file has since been lost is a merge-time loss that goes through the loss
+policy::
 
     {"kind": "shard-scan", "shard": 1, "transactions": 64,
      "items": [["a", [0.9, 0.6]], ["b", [0.6]]]}
@@ -515,9 +518,10 @@ class CheckpointWriter:
         """Durably record one finished shard scan (per-item probabilities).
 
         ``items`` is a list of ``[item, [probability, ...]]`` pairs in shard
-        item order; a resumed run replays the record instead of re-reading
-        the shard file — which keeps resume working even when that shard's
-        file has since been lost.
+        item order; a resumed run replays the record instead of scanning
+        the shard again.  The mining phase still loads the shard's rows, so
+        if its file has since been lost the shard is a merge-time loss that
+        the loss policy decides.
         """
         self._write_line(
             {

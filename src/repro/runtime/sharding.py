@@ -34,8 +34,8 @@ runs in three phases:
    position-ordered vector the unsharded planner would build — so the
    candidate list, branch split, and ranks are byte-for-byte the unsharded
    planner's.  On every merge the per-shard support DPs are also composed
-   with :func:`repro.core.support.pmf_tail_convolve` (Bernoulli-convolution
-   ``pmf_add`` over disjoint transaction sets) and cross-checked against
+   with :func:`repro.core.support.pmf_tail_convolve` (the convolution of
+   capped PMFs over disjoint transaction sets) and cross-checked against
    the direct DP, so a merge that disagrees with the monolithic computation
    fails loudly (:class:`ShardMergeError`) instead of shipping silently
    wrong support numbers.  The check has no off switch; its measured cost
@@ -62,8 +62,10 @@ mining output of the *surviving* database, re-tagged
 ``frequency_bounds`` brackets the true ``Pr_F`` (the lost shards can only
 add support, so the surviving value is a lower bound; the upper bound
 re-runs the support DP with the threshold relaxed by the lost transaction
-count) and ``support_bounds`` brackets the true expected support (each lost
-transaction contributes at most 1).  See ``docs/robustness.md``.
+count; both ends are widened by the DPs' rounding bound, so they also
+bracket the computed full-database value) and ``support_bounds`` brackets
+the true expected support (each lost transaction contributes at most 1).
+See ``docs/robustness.md``.
 """
 
 from __future__ import annotations
@@ -71,6 +73,7 @@ from __future__ import annotations
 import hashlib
 import logging
 import math
+import sys
 import threading
 import time
 from concurrent.futures import Future
@@ -123,7 +126,7 @@ logger = logging.getLogger(__name__)
 
 PathLike = Union[str, Path]
 
-#: Agreement tolerance between the pmf_add merge of per-shard support DPs
+#: Agreement tolerance between the convolution merge of per-shard support DPs
 #: and the direct DP over the concatenated vector.  The two differ only in
 #: float summation order; disagreement beyond accumulated rounding means a
 #: corrupted shard or a broken merge.
@@ -135,7 +138,7 @@ class ShardLossError(RuntimeError):
 
 
 class ShardMergeError(RuntimeError):
-    """The pmf_add merge of per-shard support DPs disagrees with the direct DP."""
+    """The convolution merge of per-shard support DPs disagrees with the direct DP."""
 
 
 class ShardIntegrityError(RuntimeError):
@@ -628,18 +631,36 @@ def _degrade_result(
     contains the itemset with probability 1, i.e. the support DP re-run
     with the threshold relaxed by the lost count.  Expected support gains
     at most 1 per lost transaction.
+
+    Both ``Pr_F`` ends are widened by a rounding margin.  The exact values
+    bracket the full database's exact ``Pr_F``, but each end and the
+    full-database value are computed by the capped DP, and each can be off
+    by a few ulps in either direction.  Per row, the DP rounds ``1 − p``,
+    two products, their sum, and the cap refund's product and sum: at most
+    6 roundings, each within ``u = eps / 2`` of values whose sum is 1.  The
+    transition is a stochastic matrix, so it does not grow earlier errors
+    in the ℓ1 norm, and a DP over ``k`` rows is within ``6·k·u`` of exact.
+    Each end is compared with a DP over ``k`` surviving rows and the
+    full-database DP over at most ``k + lost`` rows.  So widening each end
+    by ``6·u·(2k + lost) = 3·eps·(2k + lost)`` covers both errors.  The
+    expected-support ends are exactly rounded sums (``math.fsum``), and
+    rounding is monotone, so they need no margin.
     """
     tidset = surviving_db.tidset(result.itemset)
     probabilities = [surviving_db.probability_of(position) for position in tidset]
-    expected = math.fsum(probabilities)
     relaxed = min_sup - lost_transactions
-    lower = result.frequent_probability
     upper = 1.0 if relaxed <= 0 else frequent_probability(probabilities, relaxed)
+    margin = 3 * sys.float_info.epsilon * (2 * len(probabilities) + lost_transactions)
+    lower = max(0.0, result.frequent_probability - margin)
+    upper = min(1.0, max(result.frequent_probability, upper) + margin)
     return replace(
         result,
         provenance="shard-degraded",
-        frequency_bounds=(lower, max(lower, upper)),
-        support_bounds=(expected, expected + lost_transactions),
+        frequency_bounds=(lower, upper),
+        support_bounds=(
+            math.fsum(probabilities),
+            math.fsum([*probabilities, lost_transactions]),
+        ),
     )
 
 

@@ -10,7 +10,8 @@ rows (or every row, in landmark mode).  It maintains, incrementally:
   numbers*; appending pushes right, evicting pops left, so both are O(items
   per transaction) amortized;
 * per-item **expected supports** (the Chernoff–Hoeffding screening input of
-  Lemma 4.1), updated by one add/subtract per touched item;
+  :class:`repro.uncertain.stream.ProbabilisticItemStream`), updated by one
+  add/subtract per touched item;
 * a **generation** counter, bumped once per append (covering the paired
   eviction), which keys downstream invalidation: window positions are
   renumbered by every slide, so any position-keyed structure — notably
@@ -30,7 +31,6 @@ on it unchanged.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from typing import Deque, Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -267,19 +267,6 @@ class WindowedUncertainDatabase:
     def expected_support_of_item(self, item: Item) -> float:
         """Incrementally maintained ``E[support(item)]`` over the window."""
         return self._expected.get(item, 0.0)
-
-    def refresh_expected_support(self, item: Item) -> float:
-        """Recompute the expected support exactly, discarding drift.
-
-        The incremental add/subtract maintenance accumulates rounding error
-        over many slides; callers that rebuild an item's PMF from scratch
-        call this in the same breath so both quantities reset together.
-        """
-        if item not in self._positions:
-            return 0.0
-        exact = math.fsum(self.item_probabilities(item))
-        self._expected[item] = exact
-        return exact
 
     def tidset_of_item(self, item: Item) -> Tidset:
         """Window-relative positions of the transactions containing ``item``."""

@@ -15,17 +15,20 @@ experiment (Fig. 10).
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
-from ..core.database import Tidset, UncertainDatabase, intersect_tidsets
+from ..core.cache import SupportDPCache
+from ..core.database import UncertainDatabase
 from ..core.itemsets import Itemset
-from ..core.support import SupportDistributionCache
 
 __all__ = ["mine_probabilistic_frequent_itemsets"]
 
 
 def mine_probabilistic_frequent_itemsets(
-    database: UncertainDatabase, min_sup: int, pft: float
+    database: UncertainDatabase,
+    min_sup: int,
+    pft: float,
+    support_cache: Optional[SupportDPCache] = None,
 ) -> List[Tuple[Itemset, float]]:
     """All probabilistic frequent itemsets with their frequent probabilities.
 
@@ -34,6 +37,9 @@ def mine_probabilistic_frequent_itemsets(
         min_sup: absolute minimum support threshold (>= 1).
         pft: probabilistic frequent threshold; results satisfy
             ``Pr_F(X) > pft`` (strict, per Definition 3.5).
+        support_cache: the run's support-DP cache; tidsets come from its
+            tidset engine (the tuple engine when it has none), and its
+            counters record the DPs.  Defaults to a fresh cache.
 
     Returns:
         ``[(itemset, Pr_F), ...]`` sorted by (length, itemset).
@@ -42,12 +48,13 @@ def mine_probabilistic_frequent_itemsets(
         raise ValueError("min_sup must be at least 1")
     if not 0.0 <= pft < 1.0:
         raise ValueError("pft must be in [0, 1)")
-    cache = SupportDistributionCache(database, min_sup)
+    cache = support_cache if support_cache is not None else SupportDPCache(database, min_sup)
+    engine = cache.engine or database.tidset_engine("tuple")
 
-    level: Dict[Itemset, Tidset] = {}
+    level: Dict[Itemset, Any] = {}
     results: List[Tuple[Itemset, float]] = []
     for item in database.items:
-        tidset = database.tidset_of_item(item)
+        tidset = engine.item_tidset(item)
         if len(tidset) < min_sup:
             continue
         probability = cache.frequent_probability_of_tidset(tidset)
@@ -63,7 +70,7 @@ def mine_probabilistic_frequent_itemsets(
                 if first[:-1] != second[:-1]:
                     break
                 joined = first + (second[-1],)
-                tidset = intersect_tidsets(level[first], level[second])
+                tidset = engine.intersect(level[first], level[second])
                 if len(tidset) < min_sup:
                     continue
                 probability = cache.frequent_probability_of_tidset(tidset)

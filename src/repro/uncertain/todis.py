@@ -25,11 +25,11 @@ counts of Fig. 10 are defined in terms of it.
 
 from __future__ import annotations
 
-from typing import List, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
+from ..core.cache import SupportDPCache
 from ..core.database import UncertainDatabase
 from ..core.itemsets import Itemset
-from ..core.support import SupportDistributionCache
 from ..exact.maximal import mine_maximal_itemsets
 
 __all__ = ["mine_probabilistic_frequent_itemsets_topdown"]
@@ -48,18 +48,21 @@ def _maximal_count_frequent(
 
 
 def mine_probabilistic_frequent_itemsets_topdown(
-    database: UncertainDatabase, min_sup: int, pft: float
+    database: UncertainDatabase,
+    min_sup: int,
+    pft: float,
+    support_cache: Optional[SupportDPCache] = None,
 ) -> List[Tuple[Itemset, float]]:
     """All probabilistic frequent itemsets, mined top-down.
 
-    Same contract as
+    Same contract, ``support_cache`` included, as
     :func:`repro.uncertain.pfim.mine_probabilistic_frequent_itemsets`.
     """
     if min_sup < 1:
         raise ValueError("min_sup must be at least 1")
     if not 0.0 <= pft < 1.0:
         raise ValueError("pft must be in [0, 1)")
-    cache = SupportDistributionCache(database, min_sup)
+    cache = support_cache if support_cache is not None else SupportDPCache(database, min_sup)
 
     confirmed: Set[Itemset] = set()
     rejected: Set[Itemset] = set()

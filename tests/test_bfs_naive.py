@@ -152,6 +152,44 @@ class TestNaiveMiner:
         assert miner.stats.dp_requests > 0
         assert miner.stats.tidset_intersections > 0
 
+    @pytest.mark.parametrize(
+        "use_topdown, module, function",
+        [
+            (True, "repro.uncertain.todis", "mine_probabilistic_frequent_itemsets_topdown"),
+            (False, "repro.uncertain.pfim", "mine_probabilistic_frequent_itemsets"),
+        ],
+    )
+    def test_pfi_phase_runs_on_the_run_cache_and_engine(
+        self, monkeypatch, use_topdown, module, function
+    ):
+        """The PFI phase's DP requests and tidset work are the run's: they
+        go through the run's cache and the configured bitmap engine."""
+        import importlib
+
+        pfi_module = importlib.import_module(module)
+        database = paper_table2_database()
+        engine = database.tidset_engine("bitmap")
+        real = getattr(pfi_module, function)
+        phase = {}
+
+        def spy(*args, **kwargs):
+            before = engine.counters()["tidset_intersections"]
+            result = real(*args, **kwargs)
+            cache = kwargs.get("support_cache")
+            phase["requests"] = cache.requests if cache is not None else 0
+            phase["intersections"] = engine.counters()["tidset_intersections"] - before
+            return result
+
+        monkeypatch.setattr(pfi_module, function, spy)
+        miner = NaiveMiner(
+            database, MinerConfig(min_sup=2, pfct=0.5), use_topdown_pfi=use_topdown
+        )
+        miner.mine()
+        assert phase["requests"] > 0
+        assert miner.stats.dp_requests >= phase["requests"]
+        assert phase["intersections"] > 0
+        assert miner.stats.tidset_intersections >= phase["intersections"]
+
     def test_work_scales_with_pfi_count(self, paper_db):
         """MPFCI evaluates far fewer itemsets than Naive on the same input."""
         config = MinerConfig(min_sup=2, pfct=0.8)

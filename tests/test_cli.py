@@ -168,7 +168,6 @@ class TestStreamMineCommand:
         assert payload["window"] == 20
         assert payload["slides"] == 60
         assert payload["stats"]["slides_processed"] == 60
-        assert "pmf_incremental_fraction" in payload["stats_report"]["derived"]
 
     def test_window_required(self, quest_file):
         with pytest.raises(SystemExit):

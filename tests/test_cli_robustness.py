@@ -117,6 +117,15 @@ class TestConfigErrors:
         assert_clean_failure(proc)
         assert "--window" in proc.stderr
 
+    @pytest.mark.parametrize("flag", ["--max-slides", "--report-every"])
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_stream_mine_non_positive_counts(self, paper_file, flag, value):
+        proc = run_cli(
+            "stream-mine", paper_file, "--window", "2", "--min-sup", "2", flag, value
+        )
+        assert_clean_failure(proc)
+        assert flag in proc.stderr
+
 
 class TestSupervisedFlags:
     def test_checkpoint_then_resume(self, paper_file, tmp_path):

@@ -9,6 +9,7 @@ to report partial data at all.
 """
 
 import dataclasses
+import math
 import random
 
 import pytest
@@ -16,6 +17,7 @@ import pytest
 from repro.core.config import MinerConfig
 from repro.core.database import UncertainDatabase
 from repro.core.miner import MPFCIMiner
+from repro.core.support import frequent_probability
 from repro.data.columnar import save_shards, shard_ranges
 from repro.registry import SHARD_LOSS_POLICIES
 from repro.runtime import (
@@ -153,10 +155,43 @@ class TestLossPolicies:
             assert result.provenance == "shard-degraded"
             assert result.frequent_probability == base.frequent_probability
             low, high = result.frequency_bounds
-            assert low == min(1.0, result.frequent_probability)
+            assert low <= result.frequent_probability
             assert 0.0 <= low <= high <= 1.0
             s_low, s_high = result.support_bounds
-            assert s_high == s_low + lost.transactions
+            kept = [
+                surviving.probability_of(position)
+                for position in surviving.tidset(result.itemset)
+            ]
+            assert s_low == math.fsum(kept)
+            assert s_high == math.fsum([*kept, lost.transactions])
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_degraded_bounds_bracket_the_full_database(self, config, seed):
+        """Every degraded interval holds the whole database's computed
+        ``Pr_F`` and expected support, whichever shard is lost."""
+        database = random_uncertain_database(
+            random.Random(seed), rows=200, items="abcde"
+        )
+        shards = ShardSet.from_database(database, 3)
+        for lost in range(3):
+            report = run_sharded(
+                shards,
+                config,
+                processes=2,
+                supervisor=SupervisorConfig(max_retries=0),
+                shard_policy="degrade-bounds",
+                fault_plan=lose_shard(lost),
+            )
+            for result in report.results:
+                probabilities = [
+                    database.probability_of(position)
+                    for position in database.tidset(result.itemset)
+                ]
+                full = frequent_probability(probabilities, config.min_sup)
+                low, high = result.frequency_bounds
+                assert low <= full <= high, (lost, result.itemset)
+                s_low, s_high = result.support_bounds
+                assert s_low <= math.fsum(probabilities) <= s_high
 
     def test_losing_every_shard_still_fails(self, database, config):
         plan = FaultPlan(

@@ -58,6 +58,28 @@ class TestExactness:
             result_key(r) for r in scratch
         ]
 
+    @pytest.mark.parametrize("backend", ["tuple", "bitmap"])
+    @pytest.mark.parametrize("prefilled", [False, True])
+    def test_candidate_set_equals_scratch_screen(self, backend, prefilled):
+        """After every slide the monitor's root candidates are exactly the
+        batch miner's candidate items on the window snapshot."""
+        config = CONFIG.variant(tidset_backend=backend)
+        rng = random.Random(31)
+        window = WindowedUncertainDatabase(capacity=20)
+        if prefilled:
+            window.extend(random_transaction(rng, number) for number in range(20))
+        monitor = PFCIMonitor(config, window)
+
+        def assert_same_candidates(label):
+            scratch = MPFCIMiner(monitor.window.snapshot(), config).candidate_items()
+            assert sorted(monitor._candidates) == scratch, label
+
+        if prefilled:
+            assert_same_candidates("bootstrap")
+        for number in range(20, 100):
+            monitor.slide(random_transaction(rng, number))
+            assert_same_candidates(f"slide {number}")
+
     def test_snapshot_agrees_with_plain_database(self):
         # Guard against the monitor quietly depending on snapshot fast-path
         # internals: scratch-mining an independently built database gives
@@ -110,18 +132,17 @@ class TestCountersAndCache:
             monitor.slide(random_transaction(rng, number))
         stats = monitor.stats
         assert stats.slides_processed == 100
-        assert stats.pmf_incremental_updates > 0
-        assert stats.pmf_full_rebuilds > 0
-        assert stats.pmf_updates == (
-            stats.pmf_incremental_updates + stats.pmf_full_rebuilds
+        # The slide clock covers the screen as well as the re-mined branches.
+        assert stats.elapsed_seconds == pytest.approx(
+            stats.candidate_phase_seconds
+            + stats.search_phase_seconds
+            + stats.check_phase_seconds
         )
-        assert 0.0 < stats.pmf_incremental_fraction < 1.0
         # Screening must be doing real work on this workload.
         assert stats.branches_retained > 0
         assert stats.branches_remined > 0
         report = monitor.stats.report()
         assert report["counters"]["slides_processed"] == 100
-        assert "pmf_incremental_fraction" in report["derived"]
 
     def test_cache_persists_and_rebinds_across_generations(self):
         rng = random.Random(17)
@@ -141,20 +162,7 @@ class TestCountersAndCache:
         assert monitor.stats.dp_cache_hits == cache.hits
         assert monitor.stats.dp_cache_misses == cache.misses
 
-    def test_refresh_interval_forces_rebuilds(self):
-        rng = random.Random(19)
-        eager = PFCIMonitor(CONFIG, window=25, refresh_interval=1)
-        for number in range(40):
-            eager.slide(random_transaction(rng, number))
-        # Every update is a forced full rebuild.
-        assert eager.stats.pmf_incremental_updates == 0
-        assert eager.stats.pmf_full_rebuilds > 0
-
     def test_validation(self):
-        with pytest.raises(ValueError):
-            PFCIMonitor(CONFIG, window=10, refresh_interval=0)
-        with pytest.raises(ValueError):
-            PFCIMonitor(CONFIG, window=10, numeric_slack=-1.0)
         with pytest.raises(ValueError):
             PFCIMonitor(CONFIG, window=0)
 
@@ -171,61 +179,3 @@ class TestConvenienceAPI:
         assert len(deltas) == 6
         assert len(monitor.window) == 7
         assert "PFCIMonitor" in repr(monitor)
-
-
-class TestPMFStabilityFallback:
-    def test_unstable_deconvolution_falls_back_to_full_rebuild(self, monkeypatch):
-        """When eviction-time deconvolution raises PMFStabilityError, the
-        monitor rebuilds the item's PMF from scratch: the state afterwards
-        matches the from-scratch support DP to 1e-12 and the maintained
-        result set stays exact."""
-        import numpy as np
-
-        import repro.streaming.monitor as monitor_module
-        from repro.core.support import PMFStabilityError, support_pmf
-
-        rng = random.Random(29)
-        # refresh_interval large enough that no scheduled rebuild interferes
-        # with the fault-driven one inside the probe slide.
-        monitor = PFCIMonitor(CONFIG, window=20, refresh_interval=10**6)
-        for number in range(25):  # past capacity: every slide now evicts
-            monitor.slide(random_transaction(rng, number))
-
-        real_pmf_remove = monitor_module.pmf_remove
-        failures = []
-
-        def flaky_pmf_remove(pmf, probability):
-            if not failures:
-                failures.append((np.asarray(pmf, dtype=float), probability))
-                raise PMFStabilityError("injected: deconvolution unstable")
-            return real_pmf_remove(pmf, probability)
-
-        monkeypatch.setattr(monitor_module, "pmf_remove", flaky_pmf_remove)
-
-        rebuilds_before = monitor.stats.pmf_full_rebuilds
-        # All-items transaction: the eviction is guaranteed to touch some
-        # tracked item, so the flaky deconvolution actually runs.
-        monitor.slide(UncertainTransaction("PROBE", tuple(ITEMS), 0.7))
-        assert failures, "eviction never reached pmf_remove"
-        assert monitor.stats.pmf_full_rebuilds == rebuilds_before + 1
-
-        # Every maintained per-item PMF — the rebuilt one included — matches
-        # the from-scratch DP over the live window.
-        for item, state in monitor._states.items():
-            scratch = support_pmf(monitor.window.item_probabilities(item))
-            assert state.pmf is not None
-            assert len(state.pmf) == len(scratch)
-            assert float(np.abs(np.asarray(state.pmf) - scratch).max()) <= 1e-12
-
-        # And the result set is still exact against a from-scratch mine.
-        scratch_results = MPFCIMiner(monitor.window.snapshot(), CONFIG).mine()
-        assert [result_key(r) for r in monitor.results()] == [
-            result_key(r) for r in scratch_results
-        ]
-
-        # Later slides keep using the incremental path (the fallback is
-        # per-event, not a permanent downgrade).
-        incremental_before = monitor.stats.pmf_incremental_updates
-        for number in range(26, 30):
-            monitor.slide(random_transaction(rng, number))
-        assert monitor.stats.pmf_incremental_updates > incremental_before

@@ -81,14 +81,6 @@ class TestMaintainedIndex:
                     reference.expected_support((item,))
                 )
 
-    def test_refresh_expected_support_discards_drift(self):
-        window = WindowedUncertainDatabase(capacity=3)
-        for index in range(10):
-            window.append(txn(f"T{index}", "a", 0.1 + 0.07 * (index % 5)))
-        exact = sum(window.item_probabilities("a"))
-        assert window.refresh_expected_support("a") == pytest.approx(exact, abs=0)
-        assert window.refresh_expected_support("missing") == 0.0
-
 
 class TestSnapshot:
     def test_snapshot_equals_plain_database(self):

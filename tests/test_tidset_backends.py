@@ -469,6 +469,28 @@ class TestEngineAlgebra:
                     oracle.superset_covered(itemset, base_t)
                 )
 
+    def test_intersect_many_keeps_a_compact_copy_of_counted_rows(self):
+        database = clustered_database()
+        engine = database.tidset_engine("bitmap")
+        base = engine.item_tidset(database.items[0])
+        others = [engine.item_tidset(item) for item in database.items]
+        before = engine.counters()
+        kept = engine.intersect_many(base, others, 20)
+        after = engine.counters()
+        # Every row is still ANDed and popcounted.
+        assert after["tidset_intersections"] - before["tidset_intersections"] == len(others)
+        assert after["tidset_popcounts"] - before["tidset_popcounts"] == len(others)
+        survivors = [tidset for tidset in kept if tidset is not None]
+        assert 0 < len(survivors) < len(others)
+        for other, tidset in zip(others, kept):
+            full = engine.intersect(base, other)
+            if len(full) < 20:
+                assert tidset is None
+            else:
+                assert tidset == full and len(tidset) == len(full)
+                # The row views share one matrix of the survivors only.
+                assert tidset.words.base.shape == (len(survivors), engine.word_count)
+
     def test_engine_is_cached_per_backend(self):
         database = paper_table2_database()
         assert database.tidset_engine("bitmap") is database.tidset_engine("bitmap")
