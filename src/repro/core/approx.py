@@ -41,6 +41,8 @@ Two implementation notes, both recorded in DESIGN.md:
 from __future__ import annotations
 
 import bisect
+import hashlib
+import json
 import math
 import random
 from dataclasses import dataclass
@@ -59,6 +61,7 @@ __all__ = [
     "ApproxFCPResult",
     "approx_union_probability",
     "approx_frequent_closed_probability",
+    "check_rng",
     "paper_ratio_union_estimator",
     "sample_count",
 ]
@@ -79,6 +82,23 @@ def sample_count(num_events: int, epsilon: float, delta: float) -> int:
     if num_events <= 0:
         return 0
     return math.ceil(4.0 * num_events * math.log(2.0 / delta) / (epsilon * epsilon))
+
+
+def check_rng(seed: Optional[int], itemset: Sequence[Item]) -> random.Random:
+    """The generator the closedness check of ``itemset`` samples from.
+
+    Seeded with the first 8 bytes of a sha256 over ``seed`` and the
+    canonical itemset, its items written as text, so the stream is a
+    function of the check alone: whichever miner, process, shard, retry,
+    resume or window slide runs the check draws the same samples, and
+    ``hash()`` randomization cannot reach it.  ``seed=None`` draws OS
+    entropy, as an unseeded run always has.
+    """
+    if seed is None:
+        return random.Random(None)
+    key = json.dumps([seed, [str(item) for item in itemset]])
+    digest = hashlib.sha256(key.encode("utf-8")).digest()
+    return random.Random(int.from_bytes(digest[:8], "big"))
 
 
 # Uniform matrices are drawn (and processed) in chunks of at most this many

@@ -51,13 +51,13 @@ class MPFCIBreadthFirstMiner(MPFCIMiner):
         level: Dict[Itemset, Tidset] = {
             (item,): self._item_tidsets[item] for item in self.candidate_items()
         }
-        engine_before = self._engine.counters()
+        before = self._work_counters()
         while level:
             for itemset, tidset in level.items():
                 self.stats.nodes_visited += 1
                 self._check(itemset, tidset, results)
             level = self._next_level(level)
-        return self._finish_run(results, started, engine_before)
+        return self._finish_run(results, started, before)
 
     def _next_level(self, level: Dict[Itemset, Tidset]) -> Dict[Itemset, Tidset]:
         ordered = sorted(level)

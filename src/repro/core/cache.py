@@ -38,7 +38,6 @@ from .itemsets import Itemset
 
 if TYPE_CHECKING:
     from .database import UncertainDatabase
-    from .stats import MiningStats
 
 __all__ = ["SupportDPCache", "DEFAULT_CACHE_SIZE", "DEFAULT_TABLE_CACHE_SIZE"]
 
@@ -372,15 +371,6 @@ class SupportDPCache:
             "dp_generation_invalidations": self.generation_invalidations,
             "dp_cross_generation_hits": self.cross_generation_hits,
         }
-
-    def apply_to(self, stats: "MiningStats") -> None:
-        """Copy (not add) the cache counters into a ``MiningStats``.
-
-        Cache counters are cumulative on the cache object, so miners call
-        this once per finished run/branch; repeated calls stay idempotent.
-        """
-        for name, value in self.counters().items():
-            setattr(stats, name, value)
 
     def clear(self) -> None:
         """Drop every entry (both key levels); counters are preserved."""

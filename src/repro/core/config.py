@@ -36,8 +36,10 @@ class MinerConfig:
         epsilon: relative tolerance of the ApproxFCP estimator.
         delta: failure probability of the ApproxFCP estimator (the paper's
             confidence degree is ``1 - delta``).
-        seed: seed for the Monte-Carlo sampler; fixed by default so runs are
-            reproducible.
+        seed: seed of the Monte-Carlo sampler; each sampled check draws
+            from a stream derived from ``(seed, itemset)``
+            (:func:`repro.core.approx.check_rng`).  Fixed by default so runs
+            are reproducible; ``None`` draws fresh entropy.
         use_chernoff_pruning: Lemma 4.1 Chernoff–Hoeffding frequency filter.
         use_superset_pruning: Lemma 4.2.
         use_subset_pruning: Lemma 4.3.

@@ -30,13 +30,12 @@ expressed.
 
 from __future__ import annotations
 
-import random
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..registry import DEGRADATION_POLICIES
-from .approx import approx_union_probability
+from .approx import approx_union_probability, check_rng
 from .bounds import (
     chernoff_hoeffding_bound_for_tidset,
     frequent_closed_probability_bounds,
@@ -136,7 +135,6 @@ class MPFCIMiner:
         self.database = database
         self.config = config
         self.stats = MiningStats()
-        self._rng = random.Random(config.seed)
         # The tidset engine is cached per backend on the database, so every
         # miner over the same database shares one packed representation.
         self._engine = database.tidset_engine(config.tidset_backend)
@@ -184,7 +182,7 @@ class MPFCIMiner:
         results: List[ProbabilisticFrequentClosedItemset] = []
 
         candidates = self.candidate_items()
-        engine_before = self._engine.counters()
+        before = self._work_counters()
         for position, item in enumerate(candidates):
             self._dfs(
                 itemset=(item,),
@@ -192,7 +190,7 @@ class MPFCIMiner:
                 extensions=candidates[position + 1 :],
                 results=results,
             )
-        return self._finish_run(results, started, engine_before)
+        return self._finish_run(results, started, before)
 
     def mine_branch(
         self, item: Item, extensions: Sequence[Item]
@@ -211,7 +209,7 @@ class MPFCIMiner:
         sorted the same way :meth:`mine` sorts.
         """
         started = time.perf_counter()
-        engine_before = self._engine.counters()
+        before = self._work_counters()
         results: List[ProbabilisticFrequentClosedItemset] = []
         self._dfs(
             itemset=(item,),
@@ -219,12 +217,11 @@ class MPFCIMiner:
             extensions=list(extensions),
             results=results,
         )
-        return self._finish_run(results, started, engine_before)
+        return self._finish_run(results, started, before)
 
     def _reset_run(self) -> None:
-        """Fresh statistics, sampler stream and support-DP cache for a run."""
+        """Fresh statistics and support-DP cache for a run."""
         self.stats = MiningStats()
-        self._rng = random.Random(self.config.seed)
         if self._external_cache:
             self._cache.clear()
         else:
@@ -234,7 +231,7 @@ class MPFCIMiner:
         self,
         results: List[ProbabilisticFrequentClosedItemset],
         started: float,
-        engine_before: Dict[str, int],
+        before: Dict[str, int],
     ) -> List[ProbabilisticFrequentClosedItemset]:
         """Sort ``results`` and add this call's totals to ``self.stats``.
 
@@ -252,17 +249,21 @@ class MPFCIMiner:
             - self.stats.candidate_phase_seconds
             - self.stats.check_phase_seconds,
         )
-        self._cache.apply_to(self.stats)
-        self._apply_engine_delta(engine_before)
+        self._apply_counter_delta(before)
         return results
 
-    def _apply_engine_delta(self, before: Dict[str, int]) -> None:
-        """Accumulate the engine's work since ``before`` into the stats.
+    def _work_counters(self) -> Dict[str, int]:
+        """The engine's and the support-DP cache's running totals."""
+        return {**self._engine.counters(), **self._cache.counters()}
 
-        The engine is shared per database (its counters are monotonic), so
-        each run/branch records only its own delta.
+    def _apply_counter_delta(self, before: Dict[str, int]) -> None:
+        """Add the engine and cache work since ``before`` to the stats.
+
+        The engine is shared per database and a cache can outlive the miner
+        (the streaming monitor's), so their counters are monotonic totals;
+        each call records only its own delta.
         """
-        for name, value in self._engine.counters().items():
+        for name, value in self._work_counters().items():
             setattr(self.stats, name, getattr(self.stats, name) + value - before[name])
 
     # ------------------------------------------------------------------
@@ -281,7 +282,7 @@ class MPFCIMiner:
         tidset engine's work into ``self.stats``.
         """
         started = time.perf_counter()
-        engine_before = self._engine.counters()
+        before = self._work_counters()
         screened: Sequence[Item] = self._engine.items
         if items is None:
             if self._engine.vectorized and len(screened) > 1:
@@ -302,8 +303,7 @@ class MPFCIMiner:
                 continue
             candidates.append(item)
         self.stats.candidate_phase_seconds += time.perf_counter() - started
-        self._cache.apply_to(self.stats)
-        self._apply_engine_delta(engine_before)
+        self._apply_counter_delta(before)
         return candidates
 
     def _passes_frequency_pruning(self, tidset: Tidset) -> bool:
@@ -542,7 +542,7 @@ class MPFCIMiner:
             provenance = "approx-degraded"
 
         union_estimate, samples = approx_union_probability(
-            events, config.epsilon, config.delta, self._rng
+            events, config.epsilon, config.delta, check_rng(config.seed, itemset)
         )
         self.stats.fcp_sampled_evaluations += 1
         self.stats.monte_carlo_samples += samples

@@ -10,11 +10,10 @@ grows (the effect Fig. 5 plots).
 
 from __future__ import annotations
 
-import random
 import time
 from typing import List
 
-from .approx import approx_union_probability
+from .approx import approx_union_probability, check_rng
 from .cache import SupportDPCache
 from .config import MinerConfig
 from .database import UncertainDatabase
@@ -45,14 +44,13 @@ class NaiveMiner:
 
         started = time.perf_counter()
         self.stats = MinerStatistics()
-        rng = random.Random(self.config.seed)
         engine = self.database.tidset_engine(self.config.tidset_backend)
-        engine_before = engine.counters()
         cache = SupportDPCache(
             self.database, self.config.min_sup,
             max_entries=self.config.dp_cache_size,
             engine=engine,
         )
+        before = {**engine.counters(), **cache.counters()}
 
         miner = (
             mine_probabilistic_frequent_itemsets_topdown
@@ -72,7 +70,8 @@ class NaiveMiner:
                 self.database, itemset, self.config.min_sup, support_cache=cache
             )
             union_estimate, samples = approx_union_probability(
-                events, self.config.epsilon, self.config.delta, rng
+                events, self.config.epsilon, self.config.delta,
+                check_rng(self.config.seed, itemset),
             )
             self.stats.fcp_sampled_evaluations += 1
             self.stats.monte_carlo_samples += samples
@@ -93,7 +92,6 @@ class NaiveMiner:
         self.stats.results_emitted = len(results)
         self.stats.elapsed_seconds = time.perf_counter() - started
         # The engine is shared per database, so record this run's delta.
-        for name, value in engine.counters().items():
-            setattr(self.stats, name, value - engine_before[name])
-        cache.apply_to(self.stats)
+        for name, value in {**engine.counters(), **cache.counters()}.items():
+            setattr(self.stats, name, value - before[name])
         return results

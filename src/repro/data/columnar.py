@@ -47,7 +47,7 @@ import numpy as np
 
 from ..core._types import BoolArray, FloatArray, WordArray
 from ..core.database import Tidset, UncertainDatabase, UncertainTransaction
-from ..core.itemsets import Item, Itemset
+from ..core.itemsets import Item, Itemset, is_sorted_itemset
 from ..core.tidsets import pack_positions
 
 __all__ = [
@@ -516,4 +516,49 @@ def load_columnar(path: PathLike) -> ColumnarUncertainDatabase:
         .reshape(len(items), n_words)
     )
     layout = raw[prob_offset : prob_offset + prob_bytes].view(np.float64)
+    _check_rows(path, items, matrix, layout[:size])
     return ColumnarUncertainDatabase(tids, items, matrix, layout)
+
+
+def _check_rows(
+    path: Path, items: Itemset, matrix: WordArray, probabilities: FloatArray
+) -> None:
+    """Hold the regions to the rules every :class:`UncertainTransaction`
+    obeys, vectorized over the whole map: items are distinct str/int values
+    in canonical order, each row's probability is in ``(0, 1]``, no item bit
+    is set at or past the row count, and every row holds at least one item.
+    """
+    if not all(
+        isinstance(item, (str, int)) and not isinstance(item, bool) for item in items
+    ):
+        raise ColumnarFormatError(f"{path}: corrupt .utdz header (items must be str or int)")
+    try:
+        canonical = is_sorted_itemset(items)
+    except TypeError:
+        canonical = False
+    if not canonical:
+        raise ColumnarFormatError(
+            f"{path}: corrupt .utdz header (items are not distinct and sorted)"
+        )
+    size = len(probabilities)
+    bad = np.flatnonzero(~((probabilities > 0.0) & (probabilities <= 1.0)))
+    if len(bad):
+        raise ColumnarFormatError(
+            f"{path}: row {bad[0]} has probability {probabilities[bad[0]]!r}, "
+            "outside (0, 1]"
+        )
+    full_words, tail_bits = divmod(size, 64)
+    beyond = np.full(matrix.shape[1] - full_words, np.uint64(2**64 - 1))
+    if tail_bits:
+        beyond[0] = ~np.uint64((1 << tail_bits) - 1)
+    stray = np.flatnonzero((matrix[:, full_words:] & beyond).any(axis=1))
+    if len(stray):
+        raise ColumnarFormatError(
+            f"{path}: item {items[stray[0]]!r} has a bit set past the last of "
+            f"{size} rows"
+        )
+    occupied = np.bitwise_or.reduce(matrix, axis=0)
+    bits = np.unpackbits(occupied.view(np.uint8), bitorder="little")[:size]
+    empty = np.flatnonzero(bits == 0)
+    if len(empty):
+        raise ColumnarFormatError(f"{path}: row {empty[0]} holds no items")

@@ -7,10 +7,10 @@ layer for long or flaky runs:
 * :mod:`repro.runtime.supervisor` — branch-parallel mining:
   :func:`run_supervised` / :func:`mine_pfci_supervised` split the search at
   its root branches (:func:`~repro.runtime.supervisor.plan_root_branches`)
-  and add per-branch timeouts, bounded retries with preserved derived
-  seeds, ``BrokenProcessPool`` recovery, and an inline last-resort
-  execution path; :func:`mine_pfci_parallel` is its fail-fast form, which
-  raises :class:`BranchFailedError` rather than return a partial list;
+  and add per-branch timeouts, bounded retries, ``BrokenProcessPool``
+  recovery, and an inline last-resort execution path;
+  :func:`mine_pfci_parallel` is its fail-fast form, which raises
+  :class:`BranchFailedError` rather than return a partial list;
 * :mod:`repro.runtime.checkpoint` — durable append-only JSONL branch
   checkpoints with config fingerprinting, and :func:`resume` to continue an
   interrupted run bit-identically;

@@ -7,7 +7,7 @@ root branch — its rank, branch item, serialized
 :class:`~repro.core.miner.ProbabilisticFrequentClosedItemset` list, and the
 branch's :class:`~repro.core.stats.MiningStats` delta::
 
-    {"kind": "header", "format": 2, "fingerprint": {...}}
+    {"kind": "header", "format": 3, "fingerprint": {...}}
     {"kind": "branch", "rank": 0, "item": "a", "results": [...], "stats": {...}}
     {"kind": "branch", "rank": 3, "item": "d", "results": [...], "stats": {...}}
 
@@ -55,9 +55,10 @@ crash-damaged tail before appending; without that, the first re-mined
 branch would be written onto the partial line, merging into one corrupt
 record mid-file and making every later load fail.
 
-Resume safety rests on the fingerprint: branch decomposition, derived
-seeds, and every pruning decision are functions of (database, config), so a
-checkpoint is only replayable against the exact pair that produced it.
+Resume safety rests on the fingerprint: branch decomposition, every
+pruning decision and every sampled check's stream are functions of
+(database, config), so a checkpoint is only replayable against the exact
+pair that produced it.
 :func:`validate_fingerprint` raises :class:`CheckpointMismatchError` naming
 the first differing field otherwise.
 
@@ -74,7 +75,7 @@ import json
 import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from ..core.config import MinerConfig
 from ..core.database import UncertainDatabase
@@ -102,8 +103,9 @@ __all__ = [
 
 # Bumped whenever a code change moves result bits, so checkpoints and
 # service-cache entries of the old code stop matching (2: Pr_F clamped to 1,
-# zero-probability events dropped before their DP).
-FORMAT_VERSION = 2
+# zero-probability events dropped before their DP; 3: each sampled check
+# draws from a stream seeded by (seed, itemset), not from a run-wide one).
+FORMAT_VERSION = 3
 
 PathLike = Union[str, Path]
 
@@ -194,8 +196,12 @@ def validate_fingerprint(
                 f"{path}: checkpoint {key} {recorded.get(key)!r} does not match "
                 f"this run's {expected.get(key)!r}"
             )
-    recorded_config = recorded.get("config") or {}
-    expected_config = expected.get("config") or {}
+    recorded_config = recorded.get("config")
+    expected_config = expected.get("config")
+    if not isinstance(recorded_config, dict):
+        recorded_config = {}
+    if not isinstance(expected_config, dict):
+        expected_config = {}
     for key in sorted(set(recorded_config) | set(expected_config)):
         if recorded_config.get(key) != expected_config.get(key):
             raise CheckpointMismatchError(
@@ -256,8 +262,88 @@ def deserialize_result(payload: Dict[str, Any]) -> ProbabilisticFrequentClosedIt
     )
 
 
-def _stats_from_dict(payload: Dict[str, Any]) -> MiningStats:
-    return MiningStats.from_snapshot(payload)
+class _MalformedRecord(ValueError):
+    """A checkpoint record lacks a field or holds a value of the wrong type."""
+
+
+_ABSENT = object()
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_str(value: Any) -> bool:
+    return isinstance(value, str)
+
+
+def _is_item(value: Any) -> bool:
+    return isinstance(value, str) or _is_number(value)
+
+
+def _is_list(value: Any) -> bool:
+    return isinstance(value, list)
+
+
+def _is_list_of(valid: Callable[[Any], bool]) -> Callable[[Any], bool]:
+    return lambda value: _is_list(value) and all(map(valid, value))
+
+
+def _is_bounds(value: Any) -> bool:
+    return value is None or (_is_list_of(_is_number)(value) and len(value) == 2)
+
+
+def _is_scan_item(value: Any) -> bool:
+    """One ``[item, [probability, ...]]`` pair of a ``shard-scan`` record."""
+    return (
+        isinstance(value, list)
+        and len(value) == 2
+        and _is_item(value[0])
+        and _is_list_of(_is_number)(value[1])
+    )
+
+
+def _is_stats(value: Any) -> bool:
+    """A stats snapshot: an object whose known counters are all numbers."""
+    known = MiningStats.__dataclass_fields__
+    return isinstance(value, dict) and all(
+        _is_number(count) for name, count in value.items() if name in known
+    )
+
+
+def _field(
+    record: Dict[str, Any],
+    name: str,
+    valid: Callable[[Any], bool],
+    default: Any = _ABSENT,
+) -> Any:
+    """``record[name]`` once ``valid`` accepts it; ``default`` when absent
+    (a missing field without a default is malformed)."""
+    if name not in record:
+        if default is _ABSENT:
+            raise _MalformedRecord(f"no {name!r} field")
+        return default
+    value = record[name]
+    if not valid(value):
+        raise _MalformedRecord(f"field {name!r} holds {value!r:.80}")
+    return value
+
+
+def _read_result(payload: Any) -> ProbabilisticFrequentClosedItemset:
+    if not isinstance(payload, dict):
+        raise _MalformedRecord(f"result {payload!r:.80} is not an object")
+    _field(payload, "itemset", _is_list_of(_is_item))
+    for name in ("probability", "lower", "upper", "frequent_probability"):
+        _field(payload, name, _is_number)
+    _field(payload, "method", _is_str)
+    _field(payload, "provenance", _is_str, default=None)
+    _field(payload, "frequency_bounds", _is_bounds, default=None)
+    _field(payload, "support_bounds", _is_bounds, default=None)
+    return deserialize_result(payload)
 
 
 # ----------------------------------------------------------------------
@@ -315,7 +401,8 @@ def load_checkpoint(path: PathLike) -> Checkpoint:
     """Parse a checkpoint file, tolerating a truncated final line.
 
     Raises :class:`CheckpointError` when the file is missing, has no valid
-    header, or is corrupt anywhere before its last line.
+    header, is corrupt anywhere before its last line, or holds a record
+    whose kind, fields or field types are wrong (naming the file and line).
     """
     path = Path(path)
     if not path.exists():
@@ -325,7 +412,7 @@ def load_checkpoint(path: PathLike) -> Checkpoint:
         raise CheckpointError(f"{path}: checkpoint file is empty")
 
     raw_lines = data.splitlines(keepends=True)
-    records: List[Dict[str, Any]] = []
+    records: List[Tuple[int, Any]] = []
     valid_bytes = 0
     consumed = 0
     for number, raw in enumerate(raw_lines, start=1):
@@ -345,7 +432,7 @@ def load_checkpoint(path: PathLike) -> Checkpoint:
                 break
             raise CheckpointError(f"{path}:{number}: unterminated checkpoint line")
         try:
-            records.append(json.loads(raw.decode("utf-8")))
+            records.append((number, json.loads(raw.decode("utf-8"))))
         except (json.JSONDecodeError, UnicodeDecodeError) as error:
             if final:
                 break
@@ -354,9 +441,9 @@ def load_checkpoint(path: PathLike) -> Checkpoint:
             ) from error
         valid_bytes = consumed
 
-    if not records or records[0].get("kind") != "header":
+    header = records[0][1] if records else None
+    if not isinstance(header, dict) or header.get("kind") != "header":
         raise CheckpointError(f"{path}: first line is not a checkpoint header")
-    header = records[0]
     if header.get("format") != FORMAT_VERSION:
         raise CheckpointError(
             f"{path}: unsupported checkpoint format {header.get('format')!r}"
@@ -370,34 +457,50 @@ def load_checkpoint(path: PathLike) -> Checkpoint:
     cancelled_ranks: List[int] = []
     shard_scans: Dict[int, ShardScanRecord] = {}
     lost_shards: Dict[int, str] = {}
-    for record in records[1:]:
-        kind = record.get("kind")
-        if kind == "cancelled":
-            cancelled = True
-            cancelled_ranks.extend(int(rank) for rank in record.get("ranks", []))
-            continue
-        if kind == "shard-scan":
-            shard = int(record["shard"])
-            shard_scans[shard] = ShardScanRecord(
-                shard=shard,
-                transactions=int(record["transactions"]),
-                items=[[item, list(probs)] for item, probs in record["items"]],
-            )
-            continue
-        if kind == "shard-lost":
-            lost_shards[int(record["shard"])] = str(record.get("reason", ""))
-            continue
-        if kind != "branch":
+    for number, record in records[1:]:
+        try:
+            kind = record.get("kind") if isinstance(record, dict) else None
+            if kind == "cancelled":
+                cancelled = True
+                cancelled_ranks.extend(
+                    _field(record, "ranks", _is_list_of(_is_int), default=[])
+                )
+            elif kind == "shard-scan":
+                shard = _field(record, "shard", _is_int)
+                shard_scans[shard] = ShardScanRecord(
+                    shard=shard,
+                    transactions=_field(record, "transactions", _is_int),
+                    items=[
+                        [item, list(probs)]
+                        for item, probs in _field(
+                            record, "items", _is_list_of(_is_scan_item)
+                        )
+                    ],
+                )
+            elif kind == "shard-lost":
+                shard = _field(record, "shard", _is_int)
+                lost_shards[shard] = _field(record, "reason", _is_str, default="")
+            elif kind == "branch":
+                rank = _field(record, "rank", _is_int)
+                branches[rank] = BranchRecord(
+                    rank=rank,
+                    item=_field(record, "item", _is_item),
+                    results=[
+                        _read_result(entry)
+                        for entry in _field(record, "results", _is_list)
+                    ],
+                    stats=MiningStats.from_snapshot(
+                        _field(record, "stats", _is_stats)
+                    ),
+                )
+            elif isinstance(record, dict):
+                raise _MalformedRecord(f"unexpected record kind {kind!r}")
+            else:
+                raise _MalformedRecord(f"{record!r:.80} is not an object")
+        except _MalformedRecord as error:
             raise CheckpointError(
-                f"{path}: unexpected record kind {kind!r}"
-            )
-        rank = record["rank"]
-        branches[rank] = BranchRecord(
-            rank=rank,
-            item=record["item"],
-            results=[deserialize_result(entry) for entry in record["results"]],
-            stats=_stats_from_dict(record["stats"]),
-        )
+                f"{path}:{number}: malformed checkpoint record: {error}"
+            ) from None
     return Checkpoint(
         fingerprint=fingerprint,
         branches=branches,

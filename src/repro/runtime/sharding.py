@@ -93,6 +93,7 @@ from ..core.support import capped_support_pmf, frequent_probability, pmf_tail_co
 from ..registry import SHARD_LOSS_POLICIES
 from .checkpoint import (
     FORMAT_VERSION,
+    CheckpointError,
     CheckpointWriter,
     database_sha256,
     open_checkpoint,
@@ -776,6 +777,16 @@ def run_sharded(
             checkpoint_path, fingerprint, resume=resume_from_checkpoint
         )
         if checkpoint is not None:
+            unknown = sorted(
+                (set(checkpoint.shard_scans) | set(checkpoint.lost_shards))
+                - set(range(len(shards.specs)))
+            )
+            if unknown:
+                writer.close()
+                raise CheckpointError(
+                    f"{checkpoint_path}: checkpoint names shard {unknown[0]} but "
+                    f"this run has {len(shards.specs)} shards"
+                )
             for index, record in checkpoint.shard_scans.items():
                 known_scans[index] = ShardScan(
                     shard=index,
@@ -932,8 +943,7 @@ def mine_pfci_sharded(
     """Convenience wrapper: split in memory, mine sharded, return results.
 
     Bit-identical to :func:`repro.core.miner.mine_pfci` (and every other
-    engine) on the exact-check configuration — asserted by the conformance
-    suite.
+    engine), sampled checks included — asserted by the conformance suite.
     """
     report = run_sharded(
         ShardSet.from_database(database, num_shards),

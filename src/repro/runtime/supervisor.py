@@ -22,9 +22,7 @@ mining path, and it treats worker failure as a normal event:
   are re-dispatched without consuming their retry budget
   (``branch_collateral_restarts``);
 * **bounded retries with backoff** — a failed/timed-out branch is retried up
-  to ``max_retries`` times with exponential backoff; its derived seed
-  (``config.seed + rank``) is preserved across retries, so a retry computes
-  exactly what the first attempt would have;
+  to ``max_retries`` times with exponential backoff;
 * **``BrokenProcessPool`` recovery** — a worker that dies hard (OOM killer,
   segfault, injected ``os._exit``) breaks the pool and poisons every
   in-flight future; the breakage cannot be attributed to a single branch, so
@@ -60,13 +58,13 @@ The loop itself is :class:`RecoveryLadder`; the shard scans of
 the shard-loss policy as their final rung.  Pool workers exit on their own
 when the supervising process dies (:func:`_worker_process_init`).
 
-Determinism: branch results depend only on (database, config, rank), never
-on scheduling, retry count, or which recovery path ran — so a supervised
-run under fault injection returns exactly the serial miner's results on the
-exact-check configuration (asserted in ``tests/test_runtime_faults.py``).
-The per-branch seed does differ from the serial miner's single shared
-stream, so on the sampling path results can differ on itemsets whose
-``Pr_FC`` lies within sampling noise of ``pfct``.
+Determinism: branch results depend only on (database, config), never on
+scheduling, retry count, or which recovery path ran — each sampled check
+draws from a stream seeded by its own itemset
+(:func:`repro.core.approx.check_rng`) — so a supervised run under fault
+injection returns exactly the serial miner's results, sampled values
+included (asserted in ``tests/test_runtime_faults.py`` and
+``tests/conformance``).
 """
 
 from __future__ import annotations
@@ -335,16 +333,12 @@ def _supervised_branch_worker(
 ) -> BranchResult:
     """Apply any scripted fault, then mine one root branch (pool or inline).
 
-    The branch runs under its derived seed.  This is the one place the seed
-    rule (``config.seed + rank``) lives; it depends only on the rank —
-    never on the attempt — so retries are bit-reproducible.
+    The rank and attempt only select the scripted fault; the branch itself
+    is the same computation on every attempt and path.
     """
     if fault_plan is not None:
         fault_plan.apply(rank, attempt, inline=inline)
-    branch_config = config.variant(
-        seed=None if config.seed is None else config.seed + rank
-    )
-    miner = MPFCIMiner(database, branch_config)
+    miner = MPFCIMiner(database, config)
     results = miner.mine_branch(item, extensions)
     return results, miner.stats
 

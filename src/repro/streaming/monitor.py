@@ -27,11 +27,11 @@ Re-mined branches run through the ordinary :meth:`MPFCIMiner.mine_branch`
 warm-start entry point of the same snapshot miner, sharing one
 :class:`~repro.core.cache.SupportDPCache` that is rebound (and thereby
 invalidated) per window generation, so a re-mined root's ``Pr_F``, already
-computed by the screen, is a cache hit.  On deterministic checking paths (no
-ApproxFCP sampling) the maintained result set is identical to re-mining the
-window from scratch — asserted per slide in
-``benchmarks/bench_streaming_slide.py`` and property-tested in
-``tests/test_streaming_monitor.py``.
+computed by the screen, is a cache hit.  The maintained result set is
+identical to re-mining the window from scratch, sampled checks included
+(each draws from a stream seeded by its own itemset) — asserted per slide in
+``benchmarks/bench_streaming_slide.py``, ``tests/test_streaming_monitor.py``
+and ``tests/conformance/test_sampling_conformance.py``.
 """
 
 from __future__ import annotations
@@ -48,22 +48,6 @@ from ..core.stats import MiningStats
 from .window import WindowedUncertainDatabase
 
 __all__ = ["PFCIMonitor", "SlideDelta"]
-
-# Cache-counter fields are copied (not added) from the shared cache, so the
-# per-slide miner stats must be stripped of them before merging into the
-# monitor's cumulative stats; the cache's own totals are applied afterwards.
-_CACHE_COUNTER_FIELDS: Tuple[str, ...] = (
-    "dp_cache_hits",
-    "dp_cache_misses",
-    "dp_cache_evictions",
-    "dp_tail_table_hits",
-    "dp_tail_table_misses",
-    "dp_tail_table_evictions",
-    "dp_invocations",
-    "dp_batch_invocations",
-    "dp_generation_invalidations",
-    "dp_cross_generation_hits",
-)
 
 _RESULT_ORDER = lambda result: (len(result.itemset), result.itemset)  # noqa: E731
 
@@ -252,8 +236,9 @@ class PFCIMonitor:
                 generation=self.window.generation,
                 engine=engine,
             )
-        else:
-            self._cache.rebind(snapshot, self.window.generation, engine=engine)
+        elif self._cache.rebind(snapshot, self.window.generation, engine=engine):
+            # The one cache counter that moves outside a miner call.
+            self.stats.dp_generation_invalidations += 1
         return MPFCIMiner(snapshot, self.config, support_cache=self._cache)
 
     def _merge_stats(self, slide_stats: MiningStats) -> None:
@@ -264,14 +249,7 @@ class PFCIMonitor:
             0.0, slide_stats.elapsed_seconds - slide_stats.check_phase_seconds
         )
         slide_stats.elapsed_seconds += slide_stats.candidate_phase_seconds
-        # Cache counters are copied-not-added (they are cumulative on the
-        # shared cache), so strip them from the per-slide miner stats before
-        # merging, then re-apply the cache totals idempotently.
-        for name in _CACHE_COUNTER_FIELDS:
-            setattr(slide_stats, name, 0)
         self.stats.merge(slide_stats)
-        assert self._cache is not None
-        self._cache.apply_to(self.stats)
 
     def __repr__(self) -> str:
         return (

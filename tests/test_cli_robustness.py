@@ -160,6 +160,23 @@ class TestSupervisedFlags:
         assert_clean_failure(proc)
         assert "min_sup" in proc.stderr
 
+    def test_resume_from_damaged_checkpoint(self, paper_file, tmp_path):
+        checkpoint = tmp_path / "run.ckpt"
+        assert run_cli(
+            "mine", paper_file, "--min-sup", "2", "--pfct", "0.5",
+            "--checkpoint", str(checkpoint),
+        ).returncode == 0
+        header = checkpoint.read_text().splitlines()[0]
+        checkpoint.write_text(
+            header + "\n" + '{"kind": "branch", "rank": 0, "item": "a", "stats": {}}\n'
+        )
+        proc = run_cli(
+            "mine", paper_file, "--min-sup", "2", "--pfct", "0.5",
+            "--resume", str(checkpoint),
+        )
+        assert_clean_failure(proc)
+        assert "'results'" in proc.stderr
+
     def test_resume_missing_checkpoint(self, paper_file, tmp_path):
         proc = run_cli(
             "mine", paper_file, "--min-sup", "2",

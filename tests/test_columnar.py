@@ -17,9 +17,19 @@ Three contracts matter:
 
 from __future__ import annotations
 
+import functools
+import json
+import math
 import pickle
+import random
+import struct
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.config import MinerConfig
 from repro.core.database import UncertainDatabase, paper_table2_database
@@ -30,9 +40,14 @@ from repro.data import (
     load_columnar,
     save_columnar,
 )
-from repro.data.columnar import _PREAMBLE
+from repro.data.columnar import _PREAMBLE, _align, save_shards
 from repro.data.io import load_uncertain_database, save_uncertain_database
 from repro.runtime.checkpoint import database_sha256, fingerprint
+from tests.conformance.checks import (
+    assert_identical_results,
+    assert_results_in_unit_interval,
+)
+from tests.strategies import random_uncertain_database
 
 
 @pytest.fixture
@@ -174,6 +189,156 @@ class TestCorruptFiles:
         text = tmp_path / "db.utd"
         save_uncertain_database(database, text)
         self._expect_error(tmp_path, text.read_bytes(), match="not a .utdz file")
+
+
+def _regions(payload: bytes):
+    """The header and the byte offsets of the item matrix and probability
+    layout of a well-formed ``.utdz`` image."""
+    _, _, header_length = _PREAMBLE.unpack_from(payload)
+    header_end = _PREAMBLE.size + header_length
+    header = json.loads(payload[_PREAMBLE.size : header_end])
+    matrix_offset = _align(header_end)
+    prob_offset = _align(matrix_offset + len(header["items"]) * header["words"] * 8)
+    return header, matrix_offset, prob_offset
+
+
+class TestRowRules:
+    """The rules every ``UncertainTransaction`` obeys hold for mapped rows too."""
+
+    def _damaged(self, database, tmp_path, damage) -> Path:
+        path = tmp_path / "damaged.utdz"
+        save_columnar(database, path)
+        payload = bytearray(path.read_bytes())
+        damage(payload, *_regions(bytes(payload)))
+        path.write_bytes(bytes(payload))
+        return path
+
+    @pytest.mark.parametrize(
+        "probability", [math.nan, 2.0, 0.0, -0.25, math.inf, 1.0 + 2**-52]
+    )
+    def test_probability_outside_unit_interval(self, database, tmp_path, probability):
+        def damage(payload, header, matrix_offset, prob_offset):
+            struct.pack_into("<d", payload, prob_offset + 8 * 2, probability)
+
+        path = self._damaged(database, tmp_path, damage)
+        with pytest.raises(ColumnarFormatError, match="row 2 has probability") as caught:
+            load_columnar(path)
+        assert "damaged.utdz" in str(caught.value)
+
+    def test_item_bit_past_the_last_row(self, database, tmp_path):
+        rows = len(database)
+
+        def damage(payload, header, matrix_offset, prob_offset):
+            word = struct.unpack_from("<Q", payload, matrix_offset)[0]
+            struct.pack_into("<Q", payload, matrix_offset, word | (1 << rows))
+            struct.pack_into("<d", payload, prob_offset + 8 * rows, 0.9)
+
+        path = self._damaged(database, tmp_path, damage)
+        with pytest.raises(ColumnarFormatError, match="item 'a' has a bit set past"):
+            load_columnar(path)
+
+    def test_row_without_items(self, database, tmp_path):
+        def damage(payload, header, matrix_offset, prob_offset):
+            for row in range(len(header["items"])):
+                offset = matrix_offset + row * header["words"] * 8
+                word = struct.unpack_from("<Q", payload, offset)[0]
+                struct.pack_into("<Q", payload, offset, word & ~(1 << 3))
+
+        path = self._damaged(database, tmp_path, damage)
+        with pytest.raises(ColumnarFormatError, match="row 3 holds no items"):
+            load_columnar(path)
+
+    @pytest.mark.parametrize(
+        "items", ['["b","a","c","d"]', '["a","a","c","d"]', '["a","b","c",444]']
+    )
+    def test_items_out_of_canonical_order(self, database, tmp_path, items):
+        def damage(payload, header, matrix_offset, prob_offset):
+            start = payload.index(b'["a","b","c","d"]')
+            payload[start : start + len(items)] = items.encode()
+
+        path = self._damaged(database, tmp_path, damage)
+        with pytest.raises(ColumnarFormatError, match="corrupt .utdz header"):
+            load_columnar(path)
+
+
+@given(
+    rows=st.integers(min_value=0, max_value=200),
+    seed=st.integers(min_value=0, max_value=2**16),
+    num_shards=st.integers(min_value=1, max_value=4),
+)
+def test_every_saved_file_loads(rows, seed, num_shards):
+    """What ``save_columnar`` and ``save_shards`` write passes the row rules."""
+    database = random_uncertain_database(random.Random(seed), rows, items="abcdefg")
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "whole.utdz"
+        save_columnar(database, path)
+        assert_same_database(load_columnar(path), database)
+        if rows:
+            manifest = json.loads(
+                save_shards(database, Path(directory) / "shards", num_shards).read_text()
+            )
+            for entry in manifest["shards"]:
+                shard = load_columnar(Path(directory) / "shards" / entry["path"])
+                assert_same_database(
+                    shard, database.restrict(range(entry["start"], entry["stop"]))
+                )
+
+
+@functools.lru_cache(maxsize=None)
+def _mutation_source() -> bytes:
+    """A 70-row image: one full and one partial matrix word per item."""
+    database = random_uncertain_database(random.Random(8), rows=70, items="abcde")
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "source.utdz"
+        save_columnar(database, path)
+        return path.read_bytes()
+
+
+@st.composite
+def mutated_images(draw):
+    payload = bytearray(_mutation_source())
+    header, matrix_offset, prob_offset = _regions(bytes(payload))
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        if draw(st.booleans()):
+            # A whole probability entry, live row or padding, of any value.
+            slot = draw(st.integers(min_value=0, max_value=header["words"] * 64 - 1))
+            struct.pack_into("<d", payload, prob_offset + 8 * slot, draw(st.floats()))
+            continue
+        region = draw(st.sampled_from(["anywhere", "matrix", "probabilities"]))
+        start, stop = {
+            "anywhere": (0, len(payload)),
+            "matrix": (matrix_offset, prob_offset),
+            "probabilities": (prob_offset, len(payload)),
+        }[region]
+        offset = draw(st.integers(min_value=start, max_value=stop - 1))
+        if draw(st.booleans()):
+            payload[offset] ^= 1 << draw(st.integers(min_value=0, max_value=7))
+        else:
+            payload[offset] = draw(st.integers(min_value=0, max_value=255))
+    if draw(st.integers(min_value=0, max_value=9)) == 0:
+        del payload[draw(st.integers(min_value=0, max_value=len(payload) - 1)) :]
+    return bytes(payload)
+
+
+@given(payload=mutated_images())
+def test_mutated_file_fails_by_name_or_mines_alike(payload):
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "mutated.utdz"
+        path.write_bytes(payload)
+        try:
+            database = load_columnar(path)
+        except ColumnarFormatError:
+            return
+        assert np.all((database.probability_array > 0) & (database.probability_array <= 1))
+        mined = {
+            backend: MPFCIMiner(
+                database, MinerConfig(min_sup=8, pfct=0.3, tidset_backend=backend)
+            ).mine()
+            for backend in ("bitmap", "tuple")
+        }
+        assert_identical_results(mined["bitmap"], mined["tuple"])
+        assert_results_in_unit_interval(mined["bitmap"])
+        del database  # release the memory map before the directory goes
 
 
 class TestAtomicWrites:

@@ -7,9 +7,15 @@ run's on every mining counter; a checkpoint from a different (database,
 config) pair is refused with a named mismatch.
 """
 
+import copy
 import json
+import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.config import MinerConfig
 from repro.core.database import UncertainDatabase, paper_table2_database
@@ -21,10 +27,12 @@ from repro.runtime import (
     CheckpointError,
     CheckpointMismatchError,
     FaultPlan,
+    ShardSet,
     SupervisorConfig,
     config_fingerprint,
     load_checkpoint,
     resume,
+    run_sharded,
     run_supervised,
     validate_fingerprint,
 )
@@ -36,6 +44,7 @@ from repro.runtime.checkpoint import (
     fingerprint,
     serialize_result,
 )
+from tests.strategies import random_uncertain_database
 
 # Mining counters must merge identically across interrupted and
 # uninterrupted runs; supervision/checkpoint bookkeeping legitimately
@@ -176,6 +185,149 @@ class TestCheckpointFile:
             pass
         checkpoint = load_checkpoint(path)
         assert checkpoint.branches == {}
+
+
+def _without(record, key):
+    return {name: value for name, value in record.items() if name != key}
+
+
+# Each case turns (header, a branch record with results) into the records of
+# a damaged file; every one must fail with CheckpointError.
+MALFORMED = {
+    "first line is an array": lambda header, branch: [[header], branch],
+    "first line is a number": lambda header, branch: [7, branch],
+    "branch without rank": lambda header, branch: [header, _without(branch, "rank")],
+    "branch without results": lambda header, branch: [
+        header, _without(branch, "results")
+    ],
+    "result without probability": lambda header, branch: [
+        header,
+        dict(branch, results=[_without(branch["results"][0], "probability")]),
+    ],
+    "later line is an array": lambda header, branch: [header, [branch]],
+    "later line is a string": lambda header, branch: [header, "branch"],
+    "shard index is a string": lambda header, branch: [
+        header, {"kind": "shard-scan", "shard": "x", "transactions": 64, "items": []}
+    ],
+    "scan items are numbers": lambda header, branch: [
+        header, {"kind": "shard-scan", "shard": 0, "transactions": 64, "items": [1]}
+    ],
+    "stats is an array": lambda header, branch: [header, dict(branch, stats=[])],
+    "stats counter is a string": lambda header, branch: [
+        header, dict(branch, stats={"nodes_visited": "3"})
+    ],
+    "rank is a boolean": lambda header, branch: [header, dict(branch, rank=True)],
+    "cancelled ranks are strings": lambda header, branch: [
+        header, {"kind": "cancelled", "ranks": ["1"]}
+    ],
+    "unknown record kind": lambda header, branch: [header, dict(branch, kind="x")],
+}
+
+
+def _write_records(path, records):
+    path.write_text("".join(json.dumps(record) + "\n" for record in records))
+
+
+class TestMalformedRecords:
+    @pytest.fixture
+    def real_records(self, tmp_path, database, config):
+        path = tmp_path / "real.ckpt"
+        run_supervised(database, config, processes=1, checkpoint_path=path)
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        branch = next(record for record in records[1:] if record["results"])
+        return records[0], branch
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_raises_checkpoint_error_naming_file_and_line(
+        self, tmp_path, real_records, case
+    ):
+        records = MALFORMED[case](*real_records)
+        path = tmp_path / "damaged.ckpt"
+        _write_records(path, records)
+        with pytest.raises(CheckpointError) as caught:
+            load_checkpoint(path)
+        assert str(path) in str(caught.value)
+        if isinstance(records[0], dict):
+            assert f"{path}:2:" in str(caught.value)
+
+
+@pytest.fixture(scope="module")
+def real_checkpoint(tmp_path_factory):
+    """Every record kind, as the writers produce them: a sharded run's
+    header, shard-scan and branch records, then a shard-lost and a
+    cancelled record."""
+    path = tmp_path_factory.mktemp("real") / "run.ckpt"
+    database = random_uncertain_database(random.Random(5), rows=150, items="abcd")
+    shards = ShardSet.from_database(database, 3)
+    run_sharded(shards, MinerConfig(min_sup=20, pfct=0.5), processes=1, checkpoint_path=path)
+    checkpoint = load_checkpoint(path)
+    assert checkpoint.shard_scans and any(
+        record.results for record in checkpoint.branches.values()
+    )
+    with CheckpointWriter(path, checkpoint.fingerprint, fresh=False) as writer:
+        writer.write_shard_lost(2, "scan timed out")
+        writer.write_cancelled([0, 1])
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    return checkpoint.fingerprint, records
+
+
+_JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-2, max_value=70),
+    st.floats(allow_nan=False),
+    st.text(max_size=2),
+    st.lists(st.integers(min_value=0, max_value=2), max_size=2),
+    st.dictionaries(st.sampled_from(["kind", "rank", "x"]), st.integers(), max_size=1),
+)
+
+
+def _locations(value, prefix=()):
+    """The key path of every value nested inside a decoded JSON record."""
+    if isinstance(value, dict):
+        children = list(value.items())
+    elif isinstance(value, list):
+        children = list(enumerate(value))
+    else:
+        return
+    for key, child in children:
+        yield prefix + (key,)
+        yield from _locations(child, prefix + (key,))
+
+
+@st.composite
+def mutated_records(draw, records):
+    """Drop a key, change a value's type, or replace a whole record with a
+    JSON scalar or array, on one line of ``records``."""
+    records = copy.deepcopy(records)
+    line = draw(st.integers(min_value=0, max_value=len(records) - 1))
+    mutation = draw(st.sampled_from(["drop", "retype", "replace"]))
+    if mutation == "replace":
+        records[line] = draw(st.one_of(_JSON_VALUES, st.lists(_JSON_VALUES, max_size=2)))
+        return records
+    location = draw(st.sampled_from(list(_locations(records[line]))))
+    parent = records[line]
+    for key in location[:-1]:
+        parent = parent[key]
+    if mutation == "drop":
+        del parent[location[-1]]
+    else:
+        parent[location[-1]] = draw(_JSON_VALUES)
+    return records
+
+
+@given(data=st.data())
+def test_mutated_checkpoint_loads_or_raises_checkpoint_error(real_checkpoint, data):
+    expected, records = real_checkpoint
+    mutated = data.draw(mutated_records(records))
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "mutated.ckpt"
+        _write_records(path, mutated)
+        try:
+            checkpoint = load_checkpoint(path)
+            validate_fingerprint(checkpoint.fingerprint, expected, path)
+        except CheckpointError:
+            pass
 
 
 class TestResume:

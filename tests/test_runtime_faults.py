@@ -4,8 +4,8 @@ Every scenario scripts worker failures with a deterministic
 :class:`FaultPlan` and asserts the acceptance property of
 ``docs/robustness.md``: recovery never changes *what* is mined — under any
 survivable fault schedule, the supervised run returns exactly the serial
-miner's results (on an exact-check configuration), and every recovery action
-is visible in the ``MiningStats`` runtime counters.
+miner's results, and every recovery action is visible in the ``MiningStats``
+runtime counters.
 """
 
 import pytest
@@ -162,8 +162,8 @@ class TestSupervisedRecovery:
 
     def test_retry_exhaustion_recovers_inline(self, database, config, serial_results):
         """A branch that fails every pool attempt still completes via the
-        in-process fallback, bit-identically (the derived seed only depends
-        on the rank, never the attempt or execution venue)."""
+        in-process fallback, bit-identically (nothing a branch computes
+        depends on the attempt or execution venue)."""
         supervisor = SupervisorConfig(max_retries=1)
         # Pool attempts are 0 and 1; the inline attempt (2) is past the
         # fault's budget, so it succeeds.

@@ -7,7 +7,9 @@ resumable-but-abandoned file), resuming such a checkpoint refuses with
 fingerprint cache — so resubmitting the same work mines fresh.
 """
 
+import asyncio
 import json
+import logging
 import threading
 
 import pytest
@@ -22,9 +24,11 @@ from repro.runtime import (
     load_checkpoint,
     run_supervised,
 )
+from repro.runtime.checkpoint import CheckpointWriter, config_fingerprint
 from repro.service import (
     ApiError,
     JobStore,
+    MiningService,
     ResultCache,
     parse_job_request,
 )
@@ -250,6 +254,41 @@ class TestJobStore:
         counts = store.counts()
         assert counts["completed"] == 1
         assert counts["queued"] == 0
+
+
+class TestRecoveryOfDamagedCheckpoint:
+    def test_unreadable_checkpoint_restarts_the_job(
+        self, tmp_path, database, config, caplog
+    ):
+        """An unfinished job whose checkpoint holds a branch record with no
+        results: the service discards the file, comes up, and mines the job
+        from scratch to the uninterrupted run's results."""
+        from repro.data.io import load_uncertain_database
+
+        store = JobStore(tmp_path)
+        job = store.create(database, config, 2, None, submitted_at=1.0)
+        job.state = "running"
+        store.save(job)
+        materialized = load_uncertain_database(job.database_path)
+        CheckpointWriter(
+            job.checkpoint_path, config_fingerprint(materialized, config)
+        ).close()
+        with job.checkpoint_path.open("a", encoding="utf-8") as handle:
+            handle.write('{"kind": "branch", "rank": 0, "item": "a", "stats": {}}\n')
+
+        async def scenario():
+            service = MiningService(tmp_path)
+            await service.start("127.0.0.1", 0)
+            await service.shutdown(drain=True)
+
+        with caplog.at_level(logging.WARNING, logger="repro.service.runner"):
+            asyncio.run(scenario())
+        assert "discarding unreadable checkpoint" in caplog.text
+        finished = JobStore(tmp_path).get(job.id)
+        assert finished.state == "completed"
+        document = json.loads(finished.result_path.read_text())
+        reference = run_supervised(materialized, config, processes=2)
+        assert document["results"] == reference.to_dict()["results"]
 
 
 class _FireAfter:

@@ -9,6 +9,7 @@ to report partial data at all.
 """
 
 import dataclasses
+import json
 import math
 import random
 
@@ -22,6 +23,7 @@ from repro.data.columnar import save_shards, shard_ranges
 from repro.registry import SHARD_LOSS_POLICIES
 from repro.runtime import (
     CheckpointCancelledError,
+    CheckpointError,
     CheckpointMismatchError,
     FaultPlan,
     ShardIntegrityError,
@@ -324,6 +326,24 @@ class TestShardedCheckpoint:
             resume_from_checkpoint=True, shard_policy="degrade-bounds",
         )
         assert degraded.degraded and set(degraded.lost_shards) == {1}
+
+    @pytest.mark.parametrize("index", [3, -1])
+    @pytest.mark.parametrize("kind", ["shard-lost", "shard-scan"])
+    def test_resume_refuses_a_shard_outside_the_run(
+        self, tmp_path, database, config, kind, index
+    ):
+        shards = ShardSet.from_database(database, 3)
+        path = tmp_path / "run.ckpt"
+        run_sharded(shards, config, processes=1, checkpoint_path=path)
+        header = path.read_text().splitlines()[0]
+        record = {"kind": kind, "shard": index, "reason": "lost",
+                  "transactions": 64, "items": []}
+        path.write_text(header + "\n" + json.dumps(record) + "\n")
+        with pytest.raises(CheckpointError, match=f"names shard {index} but"):
+            run_sharded(
+                shards, config, processes=1, checkpoint_path=path,
+                resume_from_checkpoint=True,
+            )
 
     def test_sharded_checkpoint_refuses_different_partition(
         self, tmp_path, database, config

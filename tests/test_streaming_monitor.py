@@ -2,7 +2,8 @@
 
 The load-bearing property is *exactness*: after every slide the maintained
 result set must equal re-mining the window snapshot from scratch, field for
-field, on deterministic checking paths.  The remaining tests pin the delta
+field (with sampled checks too: ``tests/conformance/test_sampling_conformance.py``).
+The remaining tests pin the delta
 semantics (old − removed + added == new), the slide-level work counters,
 and the persistence of the shared support-DP cache across generations.
 """
@@ -18,9 +19,8 @@ from repro.streaming import PFCIMonitor, WindowedUncertainDatabase
 
 ITEMS = "abcdefgh"
 
-# High exact_event_limit keeps every Pr_FC on a deterministic path (exact /
-# bound / trivial); sampled estimates depend on shared-RNG consumption order
-# and cannot be compared bit-for-bit between mining orders.
+# High exact_event_limit keeps every Pr_FC on the exact, bound or trivial
+# path.
 CONFIG = MinerConfig(min_sup=4, pfct=0.4, exact_event_limit=64)
 
 
@@ -158,7 +158,8 @@ class TestCountersAndCache:
             monitor.stats.dp_generation_invalidations
             == cache.generation_invalidations
         )
-        # dp_* stats carry the cache's cumulative counters (copy semantics).
+        # Each miner call adds its cache-counter delta, so the dp_* stats
+        # sum to the cache's lifetime counters.
         assert monitor.stats.dp_cache_hits == cache.hits
         assert monitor.stats.dp_cache_misses == cache.misses
 

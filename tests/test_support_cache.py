@@ -127,20 +127,23 @@ class TestAccounting:
         assert counters["dp_tail_table_misses"] == 1
         assert counters["dp_invocations"] == 2
 
-    def test_apply_to_is_idempotent(self):
-        from repro.core.stats import MiningStats
+    def test_miner_stats_count_only_their_own_cache_work(self):
+        """Cache counters are running totals; a miner on a cache that has
+        already served another miner adds only its own calls' deltas."""
+        from repro.core.config import MinerConfig
+        from repro.core.miner import MPFCIMiner
 
         database = paper_table2_database()
+        config = MinerConfig(min_sup=2, pfct=0.5)
         cache = SupportDPCache(database, min_sup=2)
-        tidset = database.tidset(("a",))
-        cache.frequent_probability_of_tidset(tidset)
-        cache.frequent_probability_of_tidset(tidset)
-        stats = MiningStats()
-        cache.apply_to(stats)
-        cache.apply_to(stats)  # copy semantics: repeat must not double-count
-        assert stats.dp_cache_hits == 1
-        assert stats.dp_cache_misses == 1
-        assert stats.dp_requests == cache.requests == 2
+        MPFCIMiner(database, config, support_cache=cache).candidate_items()
+        requests_before, invocations_before = cache.requests, cache.dp_invocations
+        assert requests_before > 0
+        second = MPFCIMiner(database, config, support_cache=cache)
+        second.candidate_items()
+        second.candidate_items()
+        assert second.stats.dp_requests == cache.requests - requests_before
+        assert second.stats.dp_invocations == cache.dp_invocations - invocations_before
 
     def test_clear_drops_entries_but_keeps_counters(self):
         database = paper_table2_database()
